@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "core/telemetry.h"
@@ -220,6 +221,9 @@ PipelineResult Pipeline::Run(
   result.schema = miner.Discover();
   result.mining_stats = miner.stats();
   result.dtd = BuildDtd(result.schema, options_.dtd);
+  // The mapper is compiled once per batch and shared by every worker.
+  std::optional<DocumentMapper> mapper;
+  if (options_.map_documents) mapper.emplace(result.schema, result.dtd);
   if (observing) {
     const double discover_end = obs::MonotonicSeconds();
     if (metrics != nullptr) {
@@ -270,8 +274,9 @@ PipelineResult Pipeline::Run(
         if (options_.map_documents) {
           stage = "map";
           const double map_begin = observing ? obs::MonotonicSeconds() : 0.0;
-          ConformResult mapped =
-              ConformToSchema(doc, result.schema, result.dtd);
+          // Only the conformed tree and its validity are kept, so the
+          // edit is not priced (ConformToSchema would).
+          ConformResult mapped = mapper->Conform(doc);
           conforms_after[i] = mapped.report.conforms ? 1 : 0;
           result.mapped_documents[i] = std::move(mapped.document);
           if (observing) {

@@ -1,8 +1,10 @@
 #include "mapping/edit_script.h"
 
-#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
+
+#include "mapping/zhang_shasha.h"
 
 namespace webre {
 
@@ -44,75 +46,26 @@ size_t EditScript::insertions() const {
 
 namespace {
 
-// Post-order flattening with node pointers (text nodes skipped).
-struct FlatTree {
-  std::vector<const Node*> nodes;  // 1-based
-  std::vector<int> lld;            // leftmost leaf descendant, 1-based
-  std::vector<int> keyroots;
-
-  int size() const { return static_cast<int>(nodes.size()) - 1; }
-  std::string_view label(int i) const {
-    return nodes[static_cast<size_t>(i)]->name();
-  }
-};
-
-int Flatten(const Node& node, FlatTree& out) {
-  int first_leaf = -1;
-  for (size_t i = 0; i < node.child_count(); ++i) {
-    const Node* child = node.child(i);
-    if (!child->is_element()) continue;
-    int child_lld = Flatten(*child, out);
-    if (first_leaf < 0) first_leaf = child_lld;
-  }
-  out.nodes.push_back(&node);
-  const int index = static_cast<int>(out.nodes.size()) - 1;
-  out.lld.push_back(first_leaf < 0 ? index : first_leaf);
-  return out.lld.back();
-}
-
-FlatTree MakeFlat(const Node& root) {
-  FlatTree flat;
-  flat.nodes.push_back(nullptr);
-  flat.lld.push_back(0);
-  Flatten(root, flat);
-  const int n = flat.size();
-  std::vector<bool> seen(static_cast<size_t>(n) + 1, false);
-  for (int i = n; i >= 1; --i) {
-    const int l = flat.lld[static_cast<size_t>(i)];
-    if (!seen[static_cast<size_t>(l)]) {
-      flat.keyroots.push_back(i);
-      seen[static_cast<size_t>(l)] = true;
-    }
-  }
-  std::sort(flat.keyroots.begin(), flat.keyroots.end());
-  return flat;
-}
-
-using Matrix = std::vector<std::vector<double>>;
+using zhang_shasha::PostOrderTree;
 
 class ScriptBuilder {
  public:
-  ScriptBuilder(const FlatTree& a, const FlatTree& b,
+  ScriptBuilder(const PostOrderTree& a, const PostOrderTree& b,
                 const TreeEditCosts& costs)
       : a_(a), b_(b), costs_(costs) {}
 
   EditScript Build() {
     ComputeTreeDistances();
     EditScript script;
-    if (a_.size() > 0 && b_.size() > 0) {
-      std::vector<bool> a_mapped(static_cast<size_t>(a_.size()) + 1, false);
-      std::vector<bool> b_mapped(static_cast<size_t>(b_.size()) + 1, false);
-      Backtrace(a_.size(), b_.size(), a_mapped, b_mapped, script);
-      // Anything not touched by the mapping is deleted/inserted.
-      for (int i = 1; i <= a_.size(); ++i) {
-        if (!a_mapped[static_cast<size_t>(i)]) AddDelete(i, script);
-      }
-      for (int j = 1; j <= b_.size(); ++j) {
-        if (!b_mapped[static_cast<size_t>(j)]) AddInsert(j, script);
-      }
-    } else {
-      for (int i = 1; i <= a_.size(); ++i) AddDelete(i, script);
-      for (int j = 1; j <= b_.size(); ++j) AddInsert(j, script);
+    std::vector<bool> a_mapped(static_cast<size_t>(a_.size()) + 1, false);
+    std::vector<bool> b_mapped(static_cast<size_t>(b_.size()) + 1, false);
+    Backtrace(a_.size(), b_.size(), a_mapped, b_mapped, script);
+    // Anything not touched by the mapping is deleted/inserted.
+    for (int i = 1; i <= a_.size(); ++i) {
+      if (!a_mapped[static_cast<size_t>(i)]) AddDelete(i, script);
+    }
+    for (int j = 1; j <= b_.size(); ++j) {
+      if (!b_mapped[static_cast<size_t>(j)]) AddInsert(j, script);
     }
     script.cost = 0.0;
     for (const EditOp& op : script.ops) {
@@ -132,77 +85,25 @@ class ScriptBuilder {
   }
 
  private:
-  double Rename(int i, int j) const {
-    return a_.label(i) == b_.label(j) ? 0.0 : costs_.relabel;
-  }
-
-  // Forest-distance table for the subtree pair rooted at (i, j); cell
-  // [x][y] covers source forest l(i)..l(i)+x-1 and target forest
-  // l(j)..l(j)+y-1.
-  Matrix ForestTable(int i, int j) const {
-    const int li = a_.lld[static_cast<size_t>(i)];
-    const int lj = b_.lld[static_cast<size_t>(j)];
-    const int ni = i - li + 1;
-    const int nj = j - lj + 1;
-    Matrix fd(static_cast<size_t>(ni) + 1,
-              std::vector<double>(static_cast<size_t>(nj) + 1, 0.0));
-    for (int x = 1; x <= ni; ++x) {
-      fd[static_cast<size_t>(x)][0] =
-          fd[static_cast<size_t>(x - 1)][0] + costs_.remove;
-    }
-    for (int y = 1; y <= nj; ++y) {
-      fd[0][static_cast<size_t>(y)] =
-          fd[0][static_cast<size_t>(y - 1)] + costs_.insert;
-    }
-    for (int x = 1; x <= ni; ++x) {
-      const int ii = li + x - 1;
-      for (int y = 1; y <= nj; ++y) {
-        const int jj = lj + y - 1;
-        const double del =
-            fd[static_cast<size_t>(x - 1)][static_cast<size_t>(y)] +
-            costs_.remove;
-        const double ins =
-            fd[static_cast<size_t>(x)][static_cast<size_t>(y - 1)] +
-            costs_.insert;
-        double sub;
-        if (a_.lld[static_cast<size_t>(ii)] == li &&
-            b_.lld[static_cast<size_t>(jj)] == lj) {
-          sub = fd[static_cast<size_t>(x - 1)][static_cast<size_t>(y - 1)] +
-                Rename(ii, jj);
-        } else {
-          const int xi = a_.lld[static_cast<size_t>(ii)] - li;
-          const int yj = b_.lld[static_cast<size_t>(jj)] - lj;
-          sub = fd[static_cast<size_t>(xi)][static_cast<size_t>(yj)] +
-                treedist_[static_cast<size_t>(ii)][static_cast<size_t>(jj)];
-        }
-        fd[static_cast<size_t>(x)][static_cast<size_t>(y)] =
-            std::min({del, ins, sub});
-      }
-    }
+  // Forest-distance table for the subtree pair rooted at (i, j), as
+  // zhang_shasha::ForestDistance lays it out.
+  std::vector<double> ForestTable(int i, int j) {
+    std::vector<double> fd(zhang_shasha::ForestSize(a_, i, b_, j));
+    zhang_shasha::ForestDistance(a_, b_, i, j, costs_, fd.data(),
+                                 treedist_.data());
     return fd;
   }
 
   void ComputeTreeDistances() {
-    treedist_.assign(static_cast<size_t>(a_.size()) + 1,
-                     std::vector<double>(static_cast<size_t>(b_.size()) + 1,
-                                         0.0));
-    for (int ik : a_.keyroots) {
-      for (int jk : b_.keyroots) {
-        const int li = a_.lld[static_cast<size_t>(ik)];
-        const int lj = b_.lld[static_cast<size_t>(jk)];
-        Matrix fd = ForestTable(ik, jk);
-        // Record tree distances for all subtree pairs completed in this
-        // table (both forests are whole subtrees).
-        for (int x = 1; x <= ik - li + 1; ++x) {
-          const int ii = li + x - 1;
-          if (a_.lld[static_cast<size_t>(ii)] != li) continue;
-          for (int y = 1; y <= jk - lj + 1; ++y) {
-            const int jj = lj + y - 1;
-            if (b_.lld[static_cast<size_t>(jj)] != lj) continue;
-            treedist_[static_cast<size_t>(ii)][static_cast<size_t>(jj)] =
-                fd[static_cast<size_t>(x)][static_cast<size_t>(y)];
-          }
-        }
+    treedist_.assign((static_cast<size_t>(a_.size()) + 1) *
+                         (static_cast<size_t>(b_.size()) + 1),
+                     0.0);
+    std::vector<double> fd(zhang_shasha::ForestSize(a_, a_.size(), b_,
+                                                    b_.size()));
+    for (int ik : a_.keyroots()) {
+      for (int jk : b_.keyroots()) {
+        zhang_shasha::ForestDistance(a_, b_, ik, jk, costs_, fd.data(),
+                                     treedist_.data());
       }
     }
   }
@@ -210,16 +111,16 @@ class ScriptBuilder {
   void AddDelete(int i, EditScript& script) const {
     EditOp op;
     op.kind = EditOp::Kind::kDelete;
-    op.from_label = a_.label(i);
-    op.source = a_.nodes[static_cast<size_t>(i)];
+    op.from_label = a_.node(i)->name();
+    op.source = a_.node(i);
     script.ops.push_back(std::move(op));
   }
 
   void AddInsert(int j, EditScript& script) const {
     EditOp op;
     op.kind = EditOp::Kind::kInsert;
-    op.to_label = b_.label(j);
-    op.target = b_.nodes[static_cast<size_t>(j)];
+    op.to_label = b_.node(j)->name();
+    op.target = b_.node(j);
     script.ops.push_back(std::move(op));
   }
 
@@ -230,67 +131,68 @@ class ScriptBuilder {
     if (a_.label(i) == b_.label(j)) return;  // exact match: no op
     EditOp op;
     op.kind = EditOp::Kind::kRelabel;
-    op.from_label = a_.label(i);
-    op.to_label = b_.label(j);
-    op.source = a_.nodes[static_cast<size_t>(i)];
-    op.target = b_.nodes[static_cast<size_t>(j)];
+    op.from_label = a_.node(i)->name();
+    op.to_label = b_.node(j)->name();
+    op.source = a_.node(i);
+    op.target = b_.node(j);
     script.ops.push_back(std::move(op));
   }
 
   // Recovers the optimal mapping for the subtree pair (i, j) by walking
   // its forest table back from the bottom-right corner.
   void Backtrace(int i, int j, std::vector<bool>& a_mapped,
-                 std::vector<bool>& b_mapped, EditScript& script) const {
-    const int li = a_.lld[static_cast<size_t>(i)];
-    const int lj = b_.lld[static_cast<size_t>(j)];
-    const Matrix fd = ForestTable(i, j);
+                 std::vector<bool>& b_mapped, EditScript& script) {
+    const int li = a_.lld(i);
+    const int lj = b_.lld(j);
+    const std::vector<double> fd = ForestTable(i, j);
+    const size_t stride = static_cast<size_t>(zhang_shasha::ForestWidth(b_, j));
+    auto cell = [&](int x, int y) {
+      return fd[static_cast<size_t>(x) * stride + static_cast<size_t>(y)];
+    };
     int x = i - li + 1;
     int y = j - lj + 1;
     constexpr double kEps = 1e-9;
     while (x > 0 || y > 0) {
-      const double here =
-          fd[static_cast<size_t>(x)][static_cast<size_t>(y)];
-      if (x > 0 &&
-          std::abs(fd[static_cast<size_t>(x - 1)][static_cast<size_t>(y)] +
-                   costs_.remove - here) < kEps) {
+      const double here = cell(x, y);
+      if (x > 0 && std::abs(cell(x - 1, y) + costs_.remove - here) < kEps) {
         // Deletion is recorded later from the unmapped sweep; just move.
         --x;
         continue;
       }
-      if (y > 0 &&
-          std::abs(fd[static_cast<size_t>(x)][static_cast<size_t>(y - 1)] +
-                   costs_.insert - here) < kEps) {
+      if (y > 0 && std::abs(cell(x, y - 1) + costs_.insert - here) < kEps) {
         --y;
         continue;
       }
       const int ii = li + x - 1;
       const int jj = lj + y - 1;
-      if (a_.lld[static_cast<size_t>(ii)] == li &&
-          b_.lld[static_cast<size_t>(jj)] == lj) {
+      if (a_.lld(ii) == li && b_.lld(jj) == lj) {
         AddPair(ii, jj, a_mapped, b_mapped, script);
         --x;
         --y;
       } else {
         // Whole-subtree substitution: recurse, then skip both subtrees.
         Backtrace(ii, jj, a_mapped, b_mapped, script);
-        x = a_.lld[static_cast<size_t>(ii)] - li;
-        y = b_.lld[static_cast<size_t>(jj)] - lj;
+        x = a_.lld(ii) - li;
+        y = b_.lld(jj) - lj;
       }
     }
   }
 
-  const FlatTree& a_;
-  const FlatTree& b_;
+  const PostOrderTree& a_;
+  const PostOrderTree& b_;
   TreeEditCosts costs_;
-  Matrix treedist_;
+  // Row-major, stride b_.size() + 1.
+  std::vector<double> treedist_;
 };
 
 }  // namespace
 
 EditScript ComputeEditScript(const Node& source, const Node& target,
                              const TreeEditCosts& costs) {
-  const FlatTree a = MakeFlat(source);
-  const FlatTree b = MakeFlat(target);
+  PostOrderTree a;
+  PostOrderTree b;
+  a.Assign(source);
+  b.Assign(target);
   return ScriptBuilder(a, b, costs).Build();
 }
 

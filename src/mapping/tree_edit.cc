@@ -1,130 +1,153 @@
 #include "mapping/tree_edit.h"
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
+#include "mapping/zhang_shasha.h"
+
 namespace webre {
-namespace {
+namespace zhang_shasha {
 
-// Post-order flattening of an element tree (text nodes skipped).
-struct FlatTree {
-  std::vector<std::string> labels;  // 1-based: labels[1..n]
-  std::vector<int> lld;             // leftmost leaf descendant, 1-based
-  std::vector<int> keyroots;        // ascending
-
-  int size() const { return static_cast<int>(labels.size()) - 1; }
-};
-
-int Flatten(const Node& node, FlatTree& out) {
-  int first_leaf = -1;
-  for (size_t i = 0; i < node.child_count(); ++i) {
-    const Node* child = node.child(i);
-    if (!child->is_element()) continue;
-    int child_lld = Flatten(*child, out);
-    if (first_leaf < 0) first_leaf = child_lld;
-  }
-  out.labels.emplace_back(node.name());
-  const int index = static_cast<int>(out.labels.size()) - 1;
-  out.lld.push_back(first_leaf < 0 ? index : first_leaf);
-  return out.lld.back();
-}
-
-FlatTree MakeFlat(const Node& root) {
-  FlatTree flat;
-  flat.labels.emplace_back();  // 1-based padding
-  flat.lld.push_back(0);
-  Flatten(root, flat);
-  // Keyroots: nodes i such that no j > i has lld(j) == lld(i).
-  const int n = flat.size();
-  std::vector<bool> seen(static_cast<size_t>(n) + 1, false);
-  for (int i = n; i >= 1; --i) {
-    const int l = flat.lld[static_cast<size_t>(i)];
-    if (!seen[static_cast<size_t>(l)]) {
-      flat.keyroots.push_back(i);
-      seen[static_cast<size_t>(l)] = true;
+void PostOrderTree::Assign(const Node& root) {
+  nodes_.assign(1, nullptr);
+  labels_.assign(1, kInvalidNameId);
+  lld_.assign(1, 0);
+  keyroots_.clear();
+  stack_.clear();
+  stack_.push_back({&root, 0, -1});
+  while (!stack_.empty()) {
+    Frame& top = stack_.back();
+    if (top.next_child < top.node->child_count()) {
+      const Node* child = top.node->child(top.next_child++);
+      if (child->is_element()) stack_.push_back({child, 0, -1});
+      continue;
+    }
+    const Node* node = top.node;
+    nodes_.push_back(node);
+    // Only a text root can lack a name id; its name is then "", so it
+    // is labelled like an element named "".
+    labels_.push_back(node->name_id() != kInvalidNameId
+                          ? node->name_id()
+                          : NameTable::Global().Intern(""));
+    const int index = size();
+    const int leaf = top.first_leaf < 0 ? index : top.first_leaf;
+    lld_.push_back(leaf);
+    stack_.pop_back();
+    if (!stack_.empty() && stack_.back().first_leaf < 0) {
+      stack_.back().first_leaf = leaf;
     }
   }
-  std::sort(flat.keyroots.begin(), flat.keyroots.end());
-  return flat;
+  // Keyroots: nodes i such that no j > i has lld(j) == lld(i).
+  const int n = size();
+  last_with_lld_.assign(static_cast<size_t>(n) + 1, 0);
+  for (int i = 1; i <= n; ++i) last_with_lld_[static_cast<size_t>(lld(i))] = i;
+  for (int i = 1; i <= n; ++i) {
+    if (last_with_lld_[static_cast<size_t>(lld(i))] == i) {
+      keyroots_.push_back(i);
+    }
+  }
 }
+
+void ForestDistance(const PostOrderTree& a, const PostOrderTree& b, int i,
+                    int j, const TreeEditCosts& costs, double* fd,
+                    double* treedist) {
+  // Locals, so the stores into the tables cannot force reloads.
+  const double remove = costs.remove;
+  const double insert = costs.insert;
+  const double relabel = costs.relabel;
+  const int li = a.lld(i);
+  const int lj = b.lld(j);
+  const int ni = i - li + 1;
+  const int nj = j - lj + 1;
+  const size_t stride = static_cast<size_t>(ForestWidth(b, j));
+  const size_t td_stride = static_cast<size_t>(b.size()) + 1;
+  fd[0] = 0.0;
+  for (int x = 1; x <= ni; ++x) {
+    fd[static_cast<size_t>(x) * stride] =
+        fd[static_cast<size_t>(x - 1) * stride] + remove;
+  }
+  for (int y = 1; y <= nj; ++y) {
+    fd[static_cast<size_t>(y)] = fd[static_cast<size_t>(y - 1)] + insert;
+  }
+  for (int x = 1; x <= ni; ++x) {
+    const int ii = li + x - 1;
+    const bool source_whole = a.lld(ii) == li;
+    const NameId source_label = a.label(ii);
+    double* row = fd + static_cast<size_t>(x) * stride;
+    const double* above = row - stride;
+    // Forest prefix before subtree ii, for whole-subtree substitution.
+    const double* before_ii =
+        fd + static_cast<size_t>(a.lld(ii) - li) * stride;
+    double* td_row = treedist + static_cast<size_t>(ii) * td_stride;
+    double left = row[0];  // row[y - 1], kept out of memory
+    // Only the insert depends on the cell just computed, so it joins the
+    // minimum last, after the delete and the substitution. For costs that
+    // are not NaN the order does not change the value: every cell is a sum
+    // starting from +0.0, so no -0.0 ties arise.
+    for (int y = 1; y <= nj; ++y) {
+      const int jj = lj + y - 1;
+      const double del = above[y] + remove;
+      if (source_whole && b.lld(jj) == lj) {
+        const double relabel_cost =
+            source_label == b.label(jj) ? 0.0 : relabel;
+        left = std::min(left + insert,
+                        std::min(del, above[y - 1] + relabel_cost));
+        td_row[jj] = left;
+      } else {
+        left = std::min(left + insert,
+                        std::min(del, before_ii[b.lld(jj) - lj] + td_row[jj]));
+      }
+      row[y] = left;
+    }
+  }
+}
+
+}  // namespace zhang_shasha
+
+namespace {
+
+// Per-thread buffers, so a batch of distances allocates only while the
+// largest pair seen so far grows.
+struct Scratch {
+  zhang_shasha::PostOrderTree a;
+  zhang_shasha::PostOrderTree b;
+  std::vector<double> treedist;
+  std::vector<double> fd;
+};
+
+// Buffers beyond this many cells are released after the call instead of
+// being kept for the thread's lifetime (8 MiB each).
+constexpr size_t kRetainedCells = size_t{1} << 20;
 
 }  // namespace
 
 double TreeEditDistance(const Node& a, const Node& b,
                         const TreeEditCosts& costs) {
-  const FlatTree ta = MakeFlat(a);
-  const FlatTree tb = MakeFlat(b);
+  thread_local Scratch scratch;
+  zhang_shasha::PostOrderTree& ta = scratch.a;
+  zhang_shasha::PostOrderTree& tb = scratch.b;
+  ta.Assign(a);
+  tb.Assign(b);
   const int n = ta.size();
   const int m = tb.size();
-  if (n == 0) return m * costs.insert;
-  if (m == 0) return n * costs.remove;
-
-  std::vector<std::vector<double>> treedist(
-      static_cast<size_t>(n) + 1,
-      std::vector<double>(static_cast<size_t>(m) + 1, 0.0));
-
-  // Forest-distance scratch, sized for the largest subproblem.
-  std::vector<std::vector<double>> fd(
-      static_cast<size_t>(n) + 2,
-      std::vector<double>(static_cast<size_t>(m) + 2, 0.0));
-
-  for (int ik : ta.keyroots) {
-    for (int jk : tb.keyroots) {
-      const int li = ta.lld[static_cast<size_t>(ik)];
-      const int lj = tb.lld[static_cast<size_t>(jk)];
-
-      fd[0][0] = 0.0;
-      // Using row/col index shifted so that index x corresponds to
-      // forest l..(l-1+x).
-      const int ni = ik - li + 1;
-      const int nj = jk - lj + 1;
-      for (int x = 1; x <= ni; ++x) {
-        fd[static_cast<size_t>(x)][0] =
-            fd[static_cast<size_t>(x - 1)][0] + costs.remove;
-      }
-      for (int y = 1; y <= nj; ++y) {
-        fd[0][static_cast<size_t>(y)] =
-            fd[0][static_cast<size_t>(y - 1)] + costs.insert;
-      }
-      for (int x = 1; x <= ni; ++x) {
-        const int i = li + x - 1;
-        for (int y = 1; y <= nj; ++y) {
-          const int j = lj + y - 1;
-          const double del =
-              fd[static_cast<size_t>(x - 1)][static_cast<size_t>(y)] +
-              costs.remove;
-          const double ins =
-              fd[static_cast<size_t>(x)][static_cast<size_t>(y - 1)] +
-              costs.insert;
-          if (ta.lld[static_cast<size_t>(i)] == li &&
-              tb.lld[static_cast<size_t>(j)] == lj) {
-            const double relabel_cost =
-                ta.labels[static_cast<size_t>(i)] ==
-                        tb.labels[static_cast<size_t>(j)]
-                    ? 0.0
-                    : costs.relabel;
-            const double sub =
-                fd[static_cast<size_t>(x - 1)][static_cast<size_t>(y - 1)] +
-                relabel_cost;
-            fd[static_cast<size_t>(x)][static_cast<size_t>(y)] =
-                std::min({del, ins, sub});
-            treedist[static_cast<size_t>(i)][static_cast<size_t>(j)] =
-                fd[static_cast<size_t>(x)][static_cast<size_t>(y)];
-          } else {
-            const int xi = ta.lld[static_cast<size_t>(i)] - li;  // forest prefix before subtree i
-            const int yj = tb.lld[static_cast<size_t>(j)] - lj;
-            const double sub =
-                fd[static_cast<size_t>(xi)][static_cast<size_t>(yj)] +
-                treedist[static_cast<size_t>(i)][static_cast<size_t>(j)];
-            fd[static_cast<size_t>(x)][static_cast<size_t>(y)] =
-                std::min({del, ins, sub});
-          }
-        }
-      }
+  const size_t cells =
+      (static_cast<size_t>(n) + 1) * (static_cast<size_t>(m) + 1);
+  scratch.treedist.assign(cells, 0.0);
+  // The root's forest covers every node, so the largest table any
+  // keyroot pair needs is (n + 1) x (m + 1).
+  scratch.fd.resize(cells);
+  for (int ik : ta.keyroots()) {
+    for (int jk : tb.keyroots()) {
+      zhang_shasha::ForestDistance(ta, tb, ik, jk, costs, scratch.fd.data(),
+                                   scratch.treedist.data());
     }
   }
-  return treedist[static_cast<size_t>(n)][static_cast<size_t>(m)];
+  const double distance = scratch.treedist[cells - 1];
+  if (cells > kRetainedCells) {
+    scratch.treedist = {};
+    scratch.fd = {};
+  }
+  return distance;
 }
 
 }  // namespace webre

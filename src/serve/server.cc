@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -281,6 +282,10 @@ void Server::AcceptReady(Loop& loop) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or transient error: wait for epoll
+    // Responses are written whole; disable Nagle so a small response is
+    // not held back waiting for the client's delayed ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (total_active_.load(std::memory_order_relaxed) >=
         options_.max_clients) {
       // Connection-cap shed: one typed error frame, then close. The

@@ -4,6 +4,7 @@
 #include "core/pipeline.h"
 #include "corpus/resume_generator.h"
 #include "xml/dtd_validator.h"
+#include "xml/writer.h"
 
 namespace webre {
 namespace {
@@ -93,6 +94,36 @@ TEST_F(PipelineTest, MappedDocumentsValidateIndividually) {
     if (ConformsToDtd(*doc, result.dtd)) ++valid;
   }
   EXPECT_EQ(valid, result.conforming_after);
+}
+
+TEST_F(PipelineTest, MappedDocumentsEqualConformToSchema) {
+  // The pipeline maps with a mapper compiled once per batch; each mapped
+  // document must be exactly what ConformToSchema makes of it alone.
+  const std::vector<std::string> pages = Pages(40);
+  for (const bool mark_optional : {false, true}) {
+    for (const size_t threads : {1u, 4u}) {
+      PipelineOptions options;
+      options.map_documents = true;
+      options.dtd.mark_optional = mark_optional;
+      options.parallel.num_threads = threads;
+      Pipeline pipeline(&concepts_, &recognizer_, &constraints_, options);
+      PipelineResult result = pipeline.Run(pages);
+      ASSERT_EQ(result.mapped_documents.size(), pages.size());
+      size_t conforming = 0;
+      for (size_t i = 0; i < pages.size(); ++i) {
+        ASSERT_NE(result.documents[i], nullptr) << i;
+        ASSERT_NE(result.mapped_documents[i], nullptr) << i;
+        const ConformResult alone =
+            ConformToSchema(*result.documents[i], result.schema, result.dtd);
+        EXPECT_EQ(WriteXml(*result.mapped_documents[i]),
+                  WriteXml(*alone.document))
+            << "doc " << i << " threads " << threads;
+        if (alone.report.conforms) ++conforming;
+      }
+      EXPECT_EQ(result.conforming_after, conforming)
+          << "threads " << threads << " optional " << mark_optional;
+    }
+  }
 }
 
 TEST_F(PipelineTest, ThresholdsShapeSchemaSize) {

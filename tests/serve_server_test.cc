@@ -5,6 +5,10 @@
 // surface. The durable variants run against a DurableRepository in a
 // temp dir so kCheckpoint is exercised for real.
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -120,6 +124,40 @@ TEST_F(ServerTest, PingQuerySchemaStatsOverLoopback) {
   auto alive = client->Call(Req(MsgType::kPing, 7));
   ASSERT_TRUE(alive.ok());
   EXPECT_TRUE(alive->ok());
+}
+
+TEST_F(ServerTest, AcceptedSocketsDisableNagle) {
+  StartServer(1);
+  auto client = Connect();
+  // One round trip guarantees the server has accepted the connection.
+  auto pong = client->Call(Req(MsgType::kPing, 1));
+  ASSERT_TRUE(pong.ok());
+  ASSERT_TRUE(pong->ok());
+
+  // The server shares this process, so its end of the connection is one
+  // of our descriptors: the socket bound to the server's port that has a
+  // peer (the listening socket has none).
+  size_t accepted = 0;
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in local{};
+    socklen_t len = sizeof(local);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET ||
+        ntohs(local.sin_port) != server_->port()) {
+      continue;
+    }
+    sockaddr_in peer{};
+    len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0) {
+      continue;
+    }
+    int nodelay = 0;
+    len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_NE(nodelay, 0) << "accepted fd " << fd << " still runs Nagle";
+    ++accepted;
+  }
+  EXPECT_EQ(accepted, 1u);
 }
 
 TEST_F(ServerTest, IngestGrowsTheRepositoryAndInvalidatesTheCache) {
