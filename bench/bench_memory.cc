@@ -220,7 +220,6 @@ int main(int argc, char** argv) {
 #ifdef WEBRE_BENCH_HAS_REPOSITORY
   webre::RepositoryOptions repo_options;
   repo_options.num_shards = 1;
-  repo_options.query_threads = 1;
   repo_options.freeze_flat = flags.flat;
   flat_in_effect = flags.flat;
   webre::XmlRepository repo(repo_options);

@@ -1,25 +1,25 @@
 // Query-serving bench: before/after arms over a generated XML corpus.
 //
 // The "after" arm is the current XmlRepository (sharded storage,
-// NameId-keyed structural summary, three-plan query execution over
-// frozen FlatDoc blocks). The "after_no_flat" arm is the same
-// repository with --no-flat storage (pointer trees), isolating the
-// flat representation's contribution. The "before" arm replicates the
-// seed serving layer inside this binary — a flat document vector, a
-// joined-string path index used only for whole-prefix candidate
-// pruning, and per-document tree evaluation with the original
-// quadratic frontier dedup — so all arms run in one process over
-// identical corpora.
+// NameId-keyed structural summary with per-path value columns, one
+// column-seeded query executor over frozen FlatDoc blocks). The
+// "after_no_flat" arm is the same repository with --no-flat storage
+// (pointer trees), isolating the flat representation's contribution.
+// The "before" arm replicates the seed serving layer inside this
+// binary — a flat document vector, a joined-string path index used
+// only for whole-prefix candidate pruning, and per-document tree
+// evaluation with the original quadratic frontier dedup — so all arms
+// run in one process over identical corpora.
 //
 // Three workloads are timed per arm:
 //   simple    — exact root-to-leaf paths (the summary answers them with
 //               zero tree walks);
 //   mixed     — descendant steps, wildcards, final and intermediate
-//               [val~...] predicates (exercising all three plans);
+//               [val~...] predicates (every query shape);
 //   predicate — predicate-heavy, low-selectivity needles (one- and
 //               two-byte needles over //* and named paths), the
-//               worst case for per-occurrence matching and the best
-//               case for the SIMD full-pool sweep.
+//               worst case for per-occurrence matching; the //*
+//               queries take the full-cover pool sweep.
 //
 // Before timing, the predicate workloads are re-evaluated once at every
 // SIMD level the machine supports (scalar/SSE2/AVX2) and the match
@@ -281,6 +281,10 @@ struct WorkloadResult {
   double seconds = 0;
   size_t queries = 0;
   size_t matches = 0;
+  /// Per query of the workload: the fastest of its `reps` runs, in
+  /// microseconds — the per-query figure least disturbed by a shared
+  /// host.
+  std::vector<double> min_us;
 
   double qps() const { return seconds > 0 ? queries / seconds : 0; }
 };
@@ -289,14 +293,17 @@ template <typename Repo>
 WorkloadResult RunWorkload(const Repo& repo,
                            const std::vector<webre::PathQuery>& queries,
                            size_t reps) {
-  // One untimed pass warms caches and, for the "after" arm, any lazily
-  // created fan-out state.
+  // One untimed pass warms caches.
   for (const webre::PathQuery& query : queries) (void)repo.Query(query);
   WorkloadResult result;
+  result.min_us.assign(queries.size(), 1e300);
   const double begin = Now();
   for (size_t rep = 0; rep < reps; ++rep) {
-    for (const webre::PathQuery& query : queries) {
-      result.matches += repo.Query(query).size();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const double query_begin = Now();
+      result.matches += repo.Query(queries[q]).size();
+      result.min_us[q] =
+          std::min(result.min_us[q], (Now() - query_begin) * 1e6);
       ++result.queries;
     }
   }
@@ -313,6 +320,30 @@ std::vector<webre::PathQuery> ParseAll(
   return queries;
 }
 
+// `"key": [a, b, …]` with one entry per query of the workload.
+void PrintMinUs(const char* key, const std::vector<double>& min_us) {
+  std::printf("      \"%s\": [", key);
+  for (size_t i = 0; i < min_us.size(); ++i) {
+    std::printf("%s%.1f", i > 0 ? ", " : "", min_us[i]);
+  }
+  std::printf("],\n");
+}
+
+// `"key": ["text", …]`, the query texts the *_min_us arrays follow.
+void PrintTexts(const char* key, const std::vector<webre::PathQuery>& queries,
+                bool trailing_comma) {
+  std::printf("    \"%s\": [", key);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::string text;
+    for (char c : queries[i].ToString()) {
+      if (c == '"' || c == '\\') text.push_back('\\');
+      text.push_back(c);
+    }
+    std::printf("%s\"%s\"", i > 0 ? ", " : "", text.c_str());
+  }
+  std::printf("]%s\n", trailing_comma ? "," : "");
+}
+
 void PrintArm(const char* name, size_t docs, size_t shards,
               const WorkloadResult& simple, const WorkloadResult& mixed,
               const WorkloadResult& predicate, bool trailing_comma) {
@@ -326,11 +357,14 @@ void PrintArm(const char* name, size_t docs, size_t shards,
       "      \"mixed_seconds\": %.4f,\n"
       "      \"mixed_qps\": %.1f,\n"
       "      \"predicate_seconds\": %.4f,\n"
-      "      \"predicate_qps\": %.1f,\n"
+      "      \"predicate_qps\": %.1f,\n",
+      name, name, docs, shards, simple.seconds, simple.qps(), mixed.seconds,
+      mixed.qps(), predicate.seconds, predicate.qps());
+  PrintMinUs("mixed_min_us", mixed.min_us);
+  PrintMinUs("predicate_min_us", predicate.min_us);
+  std::printf(
       "      \"matches\": %zu\n"
       "    }%s\n",
-      name, name, docs, shards, simple.seconds, simple.qps(), mixed.seconds,
-      mixed.qps(), predicate.seconds, predicate.qps(),
       simple.matches + mixed.matches + predicate.matches,
       trailing_comma ? "," : "");
 }
@@ -340,15 +374,15 @@ void PrintArm(const char* name, size_t docs, size_t shards,
 int main(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv);
 
-  // Exact root-to-leaf paths: plan 1 with a single summary path.
+  // Exact root-to-leaf paths: one summary path's occurrence run each.
   const std::vector<webre::PathQuery> simple = ParseAll({
       "/resume/EDUCATION/DATE",
       "/resume/SKILLS/LANGUAGE",
       "/resume/CONTACT/LOCATION/EMAIL",
       "/resume/EXPERIENCE/JOBTITLE/COMPANY",
   });
-  // Descendants, wildcards, predicates: plans 1 (pattern match), 2
-  // (summary-seeded) and 3 (scan) all occur.
+  // Descendants, wildcards, predicates: every query.plan.* shape
+  // (summary, sweep, seeded) and the full-cover seed occur.
   const std::vector<webre::PathQuery> mixed = ParseAll({
       "/resume/EDUCATION/DATE",
       "//DATE",
@@ -360,8 +394,8 @@ int main(int argc, char** argv) {
   });
   // Predicate-heavy, low-selectivity needles: one- and two-byte needles
   // reject almost no candidate by length and match large fractions of
-  // the corpus, so nearly all evaluation time is substring matching —
-  // the workload the SIMD pool sweep exists for.
+  // the corpus, so nearly all evaluation time is substring matching
+  // over value columns and, for //*, document pools.
   const std::vector<webre::PathQuery> predicate = ParseAll({
       "//*[val~\"e\"]",
       "//*[val~\"a\"]",
@@ -374,7 +408,6 @@ int main(int argc, char** argv) {
   BaselineRepo before;
   webre::RepositoryOptions options;
   options.num_shards = flags.shards;
-  options.query_threads = 1;
   webre::XmlRepository after(options);  // freeze_flat on by default
   webre::RepositoryOptions no_flat_options = options;
   no_flat_options.freeze_flat = false;
@@ -464,8 +497,13 @@ int main(int argc, char** argv) {
       "    \"distinct_paths\": %zu,\n"
       "    \"reps\": %zu\n"
       "  },\n"
-      "  \"arms\": {\n",
+      "  \"queries\": {\n",
       flags.docs, stats.elements, stats.distinct_paths, flags.reps);
+  PrintTexts("mixed", mixed, true);
+  PrintTexts("predicate", predicate, false);
+  std::printf(
+      "  },\n"
+      "  \"arms\": {\n");
   PrintArm("before", flags.docs, 1, before_simple, before_mixed,
            before_predicate, true);
   PrintArm("after", flags.docs, after.num_shards(), after_simple,

@@ -135,7 +135,6 @@ double DurableIngest(const std::string& dir, const Flags& flags,
                      webre::PipelineResult result) {
   webre::storage::DurableOptions options;
   options.repository.num_shards = flags.shards;
-  options.repository.query_threads = 1;
   options.wal_sync = sync;
   auto durable = webre::storage::DurableRepository::Open(dir, options);
   if (!durable.ok()) {
@@ -204,7 +203,6 @@ int main(int argc, char** argv) {
         Convert(pages, concepts, recognizer, constraints);
     webre::RepositoryOptions repo_options;
     repo_options.num_shards = flags.shards;
-    repo_options.query_threads = 1;
     webre::XmlRepository repo(repo_options);
     for (size_t i = 0; i < result.documents.size(); ++i) {
       std::shared_ptr<webre::NodeArena> arena =
@@ -226,7 +224,6 @@ int main(int argc, char** argv) {
   {
     webre::storage::DurableOptions options;
     options.repository.num_shards = flags.shards;
-    options.repository.query_threads = 1;
     {
       auto durable =
           webre::storage::DurableRepository::Open(wal_dir, options);

@@ -139,21 +139,22 @@ class Histogram {
 /// metrics as the query.* counter group and the query_us histogram).
 struct QueryStatsView {
   uint64_t queries = 0;         ///< Query() calls answered
-  uint64_t index_hits = 0;      ///< answered fully from the summary
-  uint64_t prefix_hits = 0;     ///< summary-seeded frontier + tree suffix
-  uint64_t fallback_walks = 0;  ///< documents evaluated by full walk
-  uint64_t flat_scans = 0;      ///< documents evaluated via FlatDoc
-  uint64_t shard_tasks = 0;     ///< per-shard/per-chunk eval tasks run
+  uint64_t index_hits = 0;      ///< answered without per-doc evaluation
+  uint64_t prefix_hits = 0;     ///< seeded, then an EvaluateFrom suffix
+  uint64_t fallback_walks = 0;  ///< documents the suffix evaluated
+  uint64_t flat_scans = 0;      ///< …of which evaluated via FlatDoc
   uint64_t matches = 0;         ///< matches returned across all queries
-  /// Bytes of value text the predicate engine inspected: full lengths
-  /// of candidate slices (or whole pools for sweeps), charged
-  /// independently of early exits — deterministic across shard/thread
-  /// counts and SIMD levels. Pointer-tree suffix walks (plans 2–3 in
-  /// --no-flat mode) are not instrumented.
+  /// Bytes of value text the predicate engine inspected: the value
+  /// columns (or whole pools) swept for the first predicate, plus the
+  /// full lengths of candidate slices (or pools) later predicates
+  /// inspected, charged independently of early exits — deterministic
+  /// across shard/thread counts and SIMD levels. Pointer-tree suffix
+  /// walks (--no-flat mode) are not instrumented.
   uint64_t predicate_bytes_scanned = 0;
-  /// Plan classification, exactly one per query (they sum to
-  /// `queries`): summary-only, summary + >= 1 full-pool sweep,
-  /// summary-seeded suffix evaluation, sharded scan.
+  /// Plan classification by query shape, exactly one per query (they
+  /// sum to `queries`): no predicate, a predicate on the final step
+  /// only, an intermediate predicate behind a child-axis name prefix,
+  /// an intermediate predicate under a `//` or `*` prefix.
   uint64_t plan_summary = 0;
   uint64_t plan_sweep = 0;
   uint64_t plan_seeded = 0;

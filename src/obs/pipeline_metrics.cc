@@ -132,7 +132,6 @@ PipelineMetricsSnapshot::CounterItems() const {
       {"query.prefix_hits", query_prefix_hits},
       {"query.fallback_walks", query_fallback_walks},
       {"query.flat_scans", query_flat_scans},
-      {"query.shard_tasks", query_shard_tasks},
       {"query.matches", query_matches},
       {"query.predicate_bytes_scanned", query_predicate_bytes_scanned},
       {"query.plan.summary", query_plan_summary},
@@ -166,7 +165,6 @@ void PipelineMetrics::MergeQueryStats(const QueryStatsView& stats) {
   query.prefix_hits.Add(stats.prefix_hits);
   query.fallback_walks.Add(stats.fallback_walks);
   query.flat_scans.Add(stats.flat_scans);
-  query.shard_tasks.Add(stats.shard_tasks);
   query.matches.Add(stats.matches);
   query.predicate_bytes_scanned.Add(stats.predicate_bytes_scanned);
   query.plan_summary.Add(stats.plan_summary);
@@ -274,7 +272,6 @@ PipelineMetricsSnapshot PipelineMetrics::Snapshot() const {
   snapshot.query_prefix_hits = query.prefix_hits.value();
   snapshot.query_fallback_walks = query.fallback_walks.value();
   snapshot.query_flat_scans = query.flat_scans.value();
-  snapshot.query_shard_tasks = query.shard_tasks.value();
   snapshot.query_matches = query.matches.value();
   snapshot.query_predicate_bytes_scanned =
       query.predicate_bytes_scanned.value();

@@ -54,7 +54,6 @@ struct PipelineMetricsSnapshot {
   uint64_t query_prefix_hits = 0;
   uint64_t query_fallback_walks = 0;
   uint64_t query_flat_scans = 0;
-  uint64_t query_shard_tasks = 0;
   uint64_t query_matches = 0;
   uint64_t query_predicate_bytes_scanned = 0;
   uint64_t query_plan_summary = 0;
@@ -211,7 +210,6 @@ class PipelineMetrics {
     Counter prefix_hits;
     Counter fallback_walks;
     Counter flat_scans;
-    Counter shard_tasks;
     Counter matches;
     Counter predicate_bytes_scanned;
     Counter plan_summary;

@@ -1,6 +1,9 @@
 #include "repository/path_index.h"
 
 #include <algorithm>
+#include <unordered_map>
+
+#include "util/strings.h"
 
 namespace webre {
 
@@ -258,6 +261,16 @@ void InsertSorted(std::vector<DocId>& docs, DocId doc) {
   if (it == docs.end() || *it != doc) docs.insert(it, doc);
 }
 
+/// Appends the ASCII-lowered value of `occ` to a column: the frozen
+/// document's pre-lowered slice, or the tree node's value lowered here.
+void AppendLoweredValue(const PathOccurrence& occ, std::string& column) {
+  if (occ.flat != nullptr) {
+    column.append(occ.flat->val_lowered(occ.pos));
+  } else {
+    for (char c : occ.node->val()) column.push_back(AsciiToLower(c));
+  }
+}
+
 }  // namespace
 
 uint64_t PathIndex::Mix(uint64_t key) {
@@ -326,6 +339,7 @@ void PathIndex::AddDocument(const LocalDocumentPaths& local, DocId doc,
   // Parents precede children in `local.paths`, so each local path's
   // global id resolves from its parent's already-resolved id.
   std::vector<uint32_t> global(local.paths.size());
+  std::string values;  // the document's slice of one column
   for (size_t i = 0; i < local.paths.size(); ++i) {
     const LocalDocumentPaths::Path& path = local.paths[i];
     const uint32_t parent = path.parent == LocalDocumentPaths::kNoParent
@@ -335,23 +349,33 @@ void PathIndex::AddDocument(const LocalDocumentPaths& local, DocId doc,
     global[i] = id;
     Entry& entry = entries_[id];
     InsertSorted(entry.docs, doc);
-    InsertSorted(label_docs_[path.name], doc);
-    if (record_occurrences_) {
-      // The document's occurrences form one contiguous (doc, pos…) run;
-      // splice it at the doc's sorted position (plain append when ids
-      // arrive in order).
-      auto at = std::lower_bound(
-          entry.occurrences.begin(), entry.occurrences.end(), doc,
-          [](const PathOccurrence& o, DocId d) { return o.doc < d; });
-      const size_t offset = static_cast<size_t>(at - entry.occurrences.begin());
-      entry.occurrences.insert(
-          at, path.occurrences.size(),
-          PathOccurrence{});
-      for (size_t k = 0; k < path.occurrences.size(); ++k) {
-        entry.occurrences[offset + k] =
-            PathOccurrence{doc, path.occurrences[k].first,
-                           path.occurrences[k].second, flat};
-      }
+
+    // The document's occurrences form one contiguous (doc, pos…) run;
+    // splice it at the doc's sorted position (plain append when ids
+    // arrive in order), and its values into the column at the same
+    // place.
+    auto at = std::lower_bound(
+        entry.occurrences.begin(), entry.occurrences.end(), doc,
+        [](const PathOccurrence& o, DocId d) { return o.doc < d; });
+    const size_t offset = static_cast<size_t>(at - entry.occurrences.begin());
+    const size_t n = path.occurrences.size();
+    entry.occurrences.insert(at, n, PathOccurrence{});
+    const uint32_t start = entry.column_off[offset];
+    entry.column_off.insert(entry.column_off.begin() + offset + 1, n, 0);
+    values.clear();
+    for (size_t k = 0; k < n; ++k) {
+      const PathOccurrence occ{doc, path.occurrences[k].first,
+                               path.occurrences[k].second, flat};
+      entry.occurrences[offset + k] = occ;
+      AppendLoweredValue(occ, values);
+      entry.column_off[offset + 1 + k] =
+          start + static_cast<uint32_t>(values.size());
+    }
+    entry.column.insert(start, values);
+    // A mid-run splice shifts every later value.
+    const uint32_t shift = static_cast<uint32_t>(values.size());
+    for (size_t k = offset + n + 1; k < entry.column_off.size(); ++k) {
+      entry.column_off[k] += shift;
     }
   }
 }
@@ -385,6 +409,16 @@ Status PathIndex::LoadEntry(uint32_t parent, NameId name,
       }
     }
   }
+  // The value column is sized exactly: one pass measures, the second
+  // fills. Its offsets are 32-bit.
+  size_t bytes = 0;
+  for (const PathOccurrence& occ : occurrences) {
+    bytes += occ.flat != nullptr ? occ.flat->val(occ.pos).size()
+                                 : occ.node->val().size();
+  }
+  if (bytes > UINT32_MAX) {
+    return Status::InvalidArgument("path index load: value column over 4 GiB");
+  }
   const uint32_t expected = static_cast<uint32_t>(entries_.size());
   if (Resolve(parent, name) != expected) {
     // Resolve returned an existing id: two stored entries share one
@@ -392,9 +426,14 @@ Status PathIndex::LoadEntry(uint32_t parent, NameId name,
     return Status::InvalidArgument("path index load: duplicate path entry");
   }
   Entry& entry = entries_[expected];
-  for (DocId doc : docs) InsertSorted(label_docs_[name], doc);
   entry.docs = std::move(docs);
-  if (record_occurrences_) entry.occurrences = std::move(occurrences);
+  entry.occurrences = std::move(occurrences);
+  entry.column.reserve(bytes);
+  entry.column_off.reserve(entry.occurrences.size() + 1);
+  for (const PathOccurrence& occ : entry.occurrences) {
+    AppendLoweredValue(occ, entry.column);
+    entry.column_off.push_back(static_cast<uint32_t>(entry.column.size()));
+  }
   return Status::Ok();
 }
 
@@ -406,11 +445,6 @@ uint32_t PathIndex::FindPath(const NameId* labels, size_t count) const {
     if (cur == kNoPath) return kNoPath;
   }
   return cur;
-}
-
-const std::vector<DocId>& PathIndex::DocsWithLabel(NameId name) const {
-  auto it = label_docs_.find(name);
-  return it == label_docs_.end() ? EmptyDocs() : it->second;
 }
 
 const std::vector<DocId>& PathIndex::EmptyDocs() {

@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -79,10 +79,11 @@ void CollectRestorePaths(const FlatDoc& doc, LocalDocumentPaths& local,
 /// A DataGuide-style structural summary: the trie of every distinct
 /// label path seen across the indexed documents, hash-consed on
 /// (parent path id, NameId) exactly like schema extraction's PathTable,
-/// with an inverted posting list per path. With `record_occurrences`
-/// the index also keeps every realizing element per path, which lets
-/// the repository answer structural queries without touching any
-/// document tree.
+/// with an inverted posting list per path. Every path also keeps its
+/// realizing elements and their values as one contiguous column (the
+/// containers-per-path layout of XMill), which lets the repository
+/// answer structural queries and seed `[val~…]` predicates without
+/// touching any document.
 ///
 /// Not internally synchronized: the owner serializes writers and
 /// brackets readers (XmlRepository guards each instance with a
@@ -100,28 +101,37 @@ class PathIndex {
     /// Documents containing this path, ascending, deduplicated.
     std::vector<DocId> docs;
     /// Every element realizing this path, ordered by (doc, pos).
-    /// Empty unless the index records occurrences.
     std::vector<PathOccurrence> occurrences;
+    /// The path's value column: the ASCII-lowered `val`s of
+    /// `occurrences`, concatenated in occurrence order. Derived data —
+    /// rebuilt from the documents at AddDocument/LoadEntry, never
+    /// persisted. A column holds at most 4 GiB (32-bit offsets).
+    std::string column;
+    /// occurrences.size() + 1 offsets into `column`: occurrence i's
+    /// value is [column_off[i], column_off[i + 1]).
+    std::vector<uint32_t> column_off{0};
   };
 
-  explicit PathIndex(bool record_occurrences)
-      : record_occurrences_(record_occurrences) {}
+  PathIndex() = default;
 
   PathIndex(const PathIndex&) = delete;
   PathIndex& operator=(const PathIndex&) = delete;
 
   /// Indexes one document's paths. Documents may arrive in any id
-  /// order (concurrent Adds race to the summary); posting lists stay
-  /// sorted. A document must be added at most once. `flat` (when the
-  /// repository froze the document) is stamped onto every recorded
-  /// occurrence so readers can evaluate predicates without any shard
-  /// lock.
+  /// order (concurrent Adds race to the summary); posting lists,
+  /// occurrences and value columns stay sorted — the document's run is
+  /// spliced in at its id (a plain append when ids arrive in order).
+  /// A document must be added at most once. `flat` (when the
+  /// repository froze the document) is stamped onto every occurrence
+  /// and supplies the pre-lowered values; otherwise each occurrence's
+  /// node value is lowered here.
   void AddDocument(const LocalDocumentPaths& local, DocId doc,
                    const FlatDoc* flat = nullptr);
 
   /// Storage restore: appends the entry with id == path_count(),
-  /// rebuilding the children/roots lists, the label→docs map and the
-  /// hash table from the (parent, name) pair. The snapshot's SUMMARY
+  /// rebuilding the children/roots lists and the hash table from the
+  /// (parent, name) pair and the value column (exactly sized) from the
+  /// occurrences' values. The snapshot's SUMMARY
   /// section stores entries in creation order, where parents precede
   /// children, so a loader feeding entries in file order never sees a
   /// dangling parent. `docs` must be ascending and deduplicated and
@@ -146,10 +156,6 @@ class PathIndex {
     return id == kNoPath ? EmptyDocs() : entries_[id].docs;
   }
 
-  /// Documents containing at least one element named `name` (at any
-  /// depth), ascending — the pruning list for leading `//name` steps.
-  const std::vector<DocId>& DocsWithLabel(NameId name) const;
-
   static const std::vector<DocId>& EmptyDocs();
 
  private:
@@ -159,10 +165,8 @@ class PathIndex {
 
   static uint64_t Mix(uint64_t key);
 
-  bool record_occurrences_;
   std::vector<Entry> entries_;
   std::vector<uint32_t> roots_;
-  std::unordered_map<NameId, std::vector<DocId>> label_docs_;
 
   // Open-addressing map (parent << 32 | name) -> entry id; the all-ones
   // key cannot occur (elements never carry kInvalidNameId) and marks an

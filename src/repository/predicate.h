@@ -11,7 +11,7 @@
 namespace webre {
 
 /// Scratch state for the vectorized predicate engine: one instance per
-/// (query, worker) pair, reused across every document that query
+/// query, reused across every document that query
 /// touches, so the hot path performs no per-document heap allocation.
 /// The arena backs the per-document element bitsets; SweepValBitset
 /// Reset()s it on entry, which keeps the largest block for reuse —
@@ -26,8 +26,7 @@ struct PredicateScratch {
   /// across shard counts, thread counts and SIMD levels, which the
   /// determinism tests rely on.
   uint64_t bytes_scanned = 0;
-  /// Full-pool sweeps performed (plan classification: a summary-plan
-  /// query with >= 1 sweep counts as query.plan.sweep).
+  /// Full-pool sweeps performed.
   uint64_t sweeps = 0;
 };
 

@@ -315,10 +315,6 @@ uint64_t FlatEvalScratch::predicate_bytes_scanned() const {
   return impl_->predicate.bytes_scanned;
 }
 
-uint64_t FlatEvalScratch::pool_sweeps() const {
-  return impl_->predicate.sweeps;
-}
-
 std::vector<uint32_t> PathQuery::Evaluate(const FlatDoc& doc) const {
   FlatEvalScratch scratch;
   return Evaluate(doc, scratch);

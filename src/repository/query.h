@@ -41,10 +41,10 @@ struct QueryStep {
 /// Reusable evaluation state for the flat evaluator: resolved step
 /// tests, frontier buffers and the vectorized-predicate scratch
 /// (repository/predicate.h), all with capacity that survives across
-/// documents. The repository creates one per (query, worker task) so
-/// evaluating a 32-document chunk performs its handful of allocations
-/// once instead of per document. Not thread-safe; not shareable across
-/// concurrent EvaluateFrom calls.
+/// documents. The repository creates one per query so evaluating the
+/// suffix over every seeded document performs its handful of
+/// allocations once instead of per document. Not thread-safe; not
+/// shareable across concurrent EvaluateFrom calls.
 class FlatEvalScratch {
  public:
   FlatEvalScratch();
@@ -56,8 +56,6 @@ class FlatEvalScratch {
   /// (deterministic accounting — see PredicateScratch::bytes_scanned);
   /// the repository folds this into query.predicate_bytes_scanned.
   uint64_t predicate_bytes_scanned() const;
-  /// Full-pool sweeps those evaluations performed.
-  uint64_t pool_sweeps() const;
 
  private:
   friend class PathQuery;
@@ -90,19 +88,14 @@ class PathQuery {
   const std::vector<QueryStep>& steps() const { return steps_; }
 
   /// True when the query is a plain absolute label path — no wildcards,
-  /// descendant axes or predicates. The repository also answers
-  /// structural queries (wildcards/descendant axes fine, predicate only
-  /// on the FINAL step) straight from its summary; this narrower test
-  /// exists because a simple path maps to exactly one summary trie node.
+  /// descendant axes or predicates: it maps to exactly one summary trie
+  /// node.
   bool IsSimplePath() const;
 
   /// Number of leading steps that are plain child-axis name tests (no
-  /// wildcard, no descendant axis, no predicate). When an intermediate
-  /// step carries a predicate (so the summary alone cannot answer), the
-  /// repository seeds evaluation of steps [prefix, …) from the summary's
-  /// occurrence lists for this prefix instead of walking from the root —
-  /// falling back to a full per-document scan only when the prefix is
-  /// empty.
+  /// wildcard, no descendant axis, no predicate). The repository's
+  /// query.plan.* counters use it to tell a `seeded` query (an
+  /// intermediate predicate behind such a prefix) from a `scan`.
   size_t SimplePrefixLength() const;
 
   /// The label path of a simple query (undefined otherwise).

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <mutex>
 #include <type_traits>
 
 #include "repository/predicate.h"
 #include "schema/path_extractor.h"
 #include "util/simd_scan.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "xml/dtd_validator.h"
 
 namespace webre {
@@ -24,12 +26,6 @@ static_assert(offsetof(PathOccurrence, doc) == offsetof(QueryMatch, doc) &&
               "PathOccurrence and QueryMatch must stay layout-identical");
 static_assert(std::is_trivially_copyable_v<PathOccurrence> &&
               std::is_trivially_copyable_v<QueryMatch>);
-
-/// Per-doc evaluation chunk size for summary-seeded plans: small enough
-/// to balance skew, large enough to amortize task dispatch. Chunk
-/// counts (and so the query.shard_tasks counter) are computed the same
-/// way whether or not a pool runs them.
-constexpr size_t kPrefixChunkDocs = 32;
 
 /// Materializes one summary occurrence as a caller-facing match — a
 /// straight field copy (the two structs share a layout), so the summary
@@ -60,17 +56,18 @@ StepTest ResolveStep(const QueryStep& step) {
   return test;
 }
 
-/// Pattern-matches the structural part of `query` (axes and name tests;
-/// predicates are the caller's business) against the summary trie and
-/// returns the matching path ids, sorted. This is DataGuide query
-/// evaluation: state = set of trie nodes, child steps follow trie
-/// edges, descendant steps take the downward closure — O(paths) per
-/// step, independent of corpus size.
+/// Pattern-matches the structural part of steps [0, step_count) of
+/// `query` (axes and name tests; predicates are the caller's business)
+/// against the summary trie and returns the matching path ids, sorted.
+/// This is DataGuide query evaluation: state = set of trie nodes, child
+/// steps follow trie edges, descendant steps take the downward closure
+/// — O(paths) per step, independent of corpus size.
 std::vector<uint32_t> MatchSummaryPaths(const PathIndex& index,
-                                        const PathQuery& query) {
+                                        const PathQuery& query,
+                                        size_t step_count) {
   const std::vector<QueryStep>& steps = query.steps();
   const uint32_t n = static_cast<uint32_t>(index.path_count());
-  if (n == 0 || steps.empty()) return {};
+  if (n == 0 || step_count == 0) return {};
 
   std::vector<uint32_t> cur;
   {
@@ -92,7 +89,7 @@ std::vector<uint32_t> MatchSummaryPaths(const PathIndex& index,
     }
   }
 
-  for (size_t s = 1; s < steps.size() && !cur.empty(); ++s) {
+  for (size_t s = 1; s < step_count && !cur.empty(); ++s) {
     const StepTest test = ResolveStep(steps[s]);
     if (test.impossible) return {};
     std::vector<uint32_t> next;
@@ -139,6 +136,47 @@ std::vector<uint32_t> MatchSummaryPaths(const PathIndex& index,
   return cur;
 }
 
+/// Orders `hits` — a concatenation of (doc, pos)-sorted runs — by
+/// (doc, pos) without a comparison sort over all of them: document ids
+/// are dense, so a stable counting pass buckets the hits by document,
+/// leaving only each document's own hits to order by pos. Hits spread
+/// thinly over a wide id range (where the bucket array would dwarf the
+/// hits) are few enough to sort directly.
+void OrderByDocPos(std::vector<QueryMatch>& hits) {
+  auto less = [](const QueryMatch& a, const QueryMatch& b) {
+    return a.doc != b.doc ? a.doc < b.doc : a.pos < b.pos;
+  };
+  DocId lo = hits.front().doc;
+  DocId hi = lo;
+  for (const QueryMatch& m : hits) {
+    lo = std::min(lo, m.doc);
+    hi = std::max(hi, m.doc);
+  }
+  if (hi - lo > 8 * hits.size()) {
+    std::sort(hits.begin(), hits.end(), less);
+    return;
+  }
+  // end[d] ends up one past document lo + d's bucket.
+  std::vector<uint32_t> end(hi - lo + 1, 0);
+  for (const QueryMatch& m : hits) ++end[m.doc - lo];
+  uint32_t total = 0;
+  for (uint32_t& e : end) {
+    total += e;
+    e = total - e;  // bucket start, advanced to its end by the scatter
+  }
+  std::vector<QueryMatch> sorted(hits.size());
+  for (const QueryMatch& m : hits) sorted[end[m.doc - lo]++] = m;
+  uint32_t begin = 0;
+  for (uint32_t e : end) {
+    if (e - begin > 1 &&
+        !std::is_sorted(sorted.begin() + begin, sorted.begin() + e, less)) {
+      std::sort(sorted.begin() + begin, sorted.begin() + e, less);
+    }
+    begin = e;
+  }
+  hits = std::move(sorted);
+}
+
 }  // namespace
 
 XmlRepository::XmlRepository(RepositoryOptions options) {
@@ -149,8 +187,6 @@ XmlRepository::XmlRepository(RepositoryOptions options) {
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  query_threads_ = options.query_threads == 0 ? DefaultThreadCount()
-                                              : options.query_threads;
   freeze_flat_ = options.freeze_flat;
 }
 
@@ -159,14 +195,6 @@ XmlRepository::~XmlRepository() = default;
 void XmlRepository::SetDtd(Dtd dtd) {
   dtd_ = std::move(dtd);
   has_dtd_ = true;
-}
-
-ThreadPool* XmlRepository::EnsurePool() const {
-  if (query_threads_ <= 1) return nullptr;
-  std::call_once(pool_once_, [&] {
-    pool_ = std::make_unique<ThreadPool>(query_threads_);
-  });
-  return pool_.get();
 }
 
 StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document) {
@@ -215,7 +243,6 @@ StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document,
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
     if (shard.slots.size() <= slot) shard.slots.resize(slot + 1);
-    shard.index.AddDocument(local, id);
     shard.miner.AddDocumentPaths(paths);
     shard.elements += local.element_count;
     shard.slots[slot].arena = std::move(arena);
@@ -249,7 +276,6 @@ DocId XmlRepository::AdmitFrozen(std::unique_ptr<FlatDoc> flat,
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
     if (shard.slots.size() <= slot) shard.slots.resize(slot + 1);
-    shard.index.AddDocument(local, id);
     shard.miner.AddDocumentPaths(mined);
     shard.elements += local.element_count;
     shard.slots[slot].flat = std::move(flat);
@@ -302,7 +328,6 @@ Status XmlRepository::RestoreDocumentAt(DocId id,
   if (shard.slots[slot].present()) {
     return Status::InvalidArgument("restore: document id already occupied");
   }
-  shard.index.AddDocument(local, id);
   shard.miner.AddDocumentPaths(mined);
   shard.elements += local.element_count;
   shard.slots[slot].flat = std::move(flat);
@@ -400,39 +425,24 @@ std::vector<QueryMatch> XmlRepository::Query(const PathQuery& query) const {
   const double begin_s = obs::MonotonicSeconds();
   queries_.Increment();
 
-  // Plan selection. The summary answers any query whose predicates are
-  // confined to the final step: structure resolves on the path trie,
-  // the final [val~…] filters occurrences. An intermediate predicate
-  // needs real nodes mid-path, so those queries walk trees — seeded
-  // from the summary when a simple prefix exists.
-  bool summary_only = true;
-  for (size_t i = 0; i + 1 < steps.size(); ++i) {
-    if (!steps[i].val_contains.empty()) {
-      summary_only = false;
-      break;
-    }
-  }
-
+  // One seed source, one executor. k is the first step carrying a
+  // [val~…] predicate; the plan counters classify the query by this
+  // shape alone, so they are shard-, storage- and SIMD-invariant.
+  size_t k = 0;
+  while (k < steps.size() && steps[k].val_contains.empty()) ++k;
   std::vector<QueryMatch> out;
-  if (summary_only) {
-    bool swept = false;
-    out = QueryViaSummary(query, &swept);
+  if (k == steps.size()) {
+    out = QuerySummaryRuns(query);
     index_hits_.Increment();
-    // Exactly one plan.* counter per query; `sweep` refines `summary`
-    // when the cost model answered >= 1 document with a full-pool SIMD
-    // sweep. The split depends only on corpus + query (sweep decisions
-    // are per-document byte arithmetic), so it is shard-invariant.
-    (swept ? plan_sweep_ : plan_summary_).Increment();
+    plan_summary_.Increment();
+  } else if (k + 1 == steps.size()) {
+    out = SeedFromColumns(query, k);
+    index_hits_.Increment();
+    plan_sweep_.Increment();
   } else {
-    const size_t prefix_len = query.SimplePrefixLength();
-    if (prefix_len > 0) {
-      out = QueryViaPrefix(query, prefix_len);
-      prefix_hits_.Increment();
-      plan_seeded_.Increment();
-    } else {
-      out = QueryViaScan(query);
-      plan_scan_.Increment();
-    }
+    out = EvaluateSuffix(query, k + 1, SeedFromColumns(query, k));
+    prefix_hits_.Increment();
+    (query.SimplePrefixLength() > 0 ? plan_seeded_ : plan_scan_).Increment();
   }
   matches_.Add(out.size());
   eval_us_.Record(static_cast<uint64_t>(
@@ -440,141 +450,121 @@ std::vector<QueryMatch> XmlRepository::Query(const PathQuery& query) const {
   return out;
 }
 
-std::vector<QueryMatch> XmlRepository::QueryViaSummary(
-    const PathQuery& query, bool* swept) const {
-  *swept = false;
-  const QueryStep& last = query.steps().back();
-  // The final predicate's needle, pre-lowered once per query (Parse
-  // already did it; hand-assembled steps pay the lowering here).
-  const bool has_predicate = !last.val_contains.empty();
-  const std::string lowered =
-      !has_predicate ? std::string()
-      : last.val_lower.size() == last.val_contains.size()
-          ? last.val_lower
-          : AsciiLower(last.val_contains);
-
+std::vector<QueryMatch> XmlRepository::QuerySummaryRuns(
+    const PathQuery& query) const {
   std::vector<QueryMatch> out;
   std::shared_lock<std::shared_mutex> lock(summary_mutex_);
-  const std::vector<uint32_t> ids = MatchSummaryPaths(summary_, query);
+  const std::vector<uint32_t> ids =
+      MatchSummaryPaths(summary_, query, query.steps().size());
   if (ids.empty()) return out;
 
-  if (!has_predicate) {
-    if (ids.size() == 1) {
-      // The hot case (every exact-path query): the occurrence run IS the
-      // answer, and the structs are layout-identical (static_asserts at
-      // the top of this file), so emit is one block copy — no per-match
-      // capacity check or call.
-      const std::vector<PathOccurrence>& occurrences =
-          summary_.entry(ids[0]).occurrences;
-      out.resize(occurrences.size());
-      if (!occurrences.empty()) {
-        std::memcpy(static_cast<void*>(out.data()),
-                    static_cast<const void*>(occurrences.data()),
-                    occurrences.size() * sizeof(QueryMatch));
-      }
-      return out;
+  if (ids.size() == 1) {
+    // The hot case (every exact-path query): the occurrence run IS the
+    // answer, and the structs are layout-identical (static_asserts at
+    // the top of this file), so emit is one block copy — no per-match
+    // capacity check or call.
+    const std::vector<PathOccurrence>& occurrences =
+        summary_.entry(ids[0]).occurrences;
+    out.resize(occurrences.size());
+    if (!occurrences.empty()) {
+      std::memcpy(static_cast<void*>(out.data()),
+                  static_cast<const void*>(occurrences.data()),
+                  occurrences.size() * sizeof(QueryMatch));
     }
-
-    size_t total = 0;
-    for (uint32_t id : ids) total += summary_.entry(id).occurrences.size();
-
-    if (ids.size() == 2) {
-      // Two runs (the common //LABEL shape: one path per parent
-      // context): a classic two-pointer merge, one compare per emitted
-      // match instead of the generic min-scan's per-run loop.
-      const std::vector<PathOccurrence>& a = summary_.entry(ids[0]).occurrences;
-      const std::vector<PathOccurrence>& b = summary_.entry(ids[1]).occurrences;
-      out.reserve(total);
-      size_t i = 0, j = 0;
-      while (i < a.size() && j < b.size()) {
-        const bool take_a =
-            a[i].doc < b[j].doc || (a[i].doc == b[j].doc && a[i].pos < b[j].pos);
-        out.push_back(MatchFromOccurrence(take_a ? a[i] : b[j]));
-        if (take_a) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-      for (; i < a.size(); ++i) out.push_back(MatchFromOccurrence(a[i]));
-      for (; j < b.size(); ++j) out.push_back(MatchFromOccurrence(b[j]));
-      return out;
-    }
-
-    if (ids.size() <= 8) {
-      // Few runs, nothing filtered: merge the (doc, pos)-sorted
-      // occurrence lists directly — linear min-scan beats sorting the
-      // concatenation.
-      std::vector<const std::vector<PathOccurrence>*> runs;
-      std::vector<size_t> cursor(ids.size(), 0);
-      runs.reserve(ids.size());
-      for (uint32_t id : ids) runs.push_back(&summary_.entry(id).occurrences);
-      out.reserve(total);
-      for (size_t emitted = 0; emitted < total; ++emitted) {
-        size_t best = ids.size();
-        for (size_t r = 0; r < runs.size(); ++r) {
-          if (cursor[r] >= runs[r]->size()) continue;
-          if (best == ids.size()) {
-            best = r;
-            continue;
-          }
-          const PathOccurrence& a = (*runs[r])[cursor[r]];
-          const PathOccurrence& b = (*runs[best])[cursor[best]];
-          if (a.doc < b.doc || (a.doc == b.doc && a.pos < b.pos)) best = r;
-        }
-        const PathOccurrence& occ = (*runs[best])[cursor[best]++];
-        out.push_back(MatchFromOccurrence(occ));
-      }
-      return out;
-    }
-
-    out.reserve(total);
-    for (uint32_t id : ids) {
-      for (const PathOccurrence& occ : summary_.entry(id).occurrences) {
-        out.push_back(MatchFromOccurrence(occ));
-      }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const QueryMatch& a, const QueryMatch& b) {
-                return a.doc != b.doc ? a.doc < b.doc : a.pos < b.pos;
-              });
     return out;
   }
 
-  // ---- Final-step predicate: per-DOCUMENT batch evaluation ----
-  //
-  // Occurrence lists are (doc, pos)-sorted, so per-run cursors advanced
-  // in document order visit each document's occurrences exactly once —
-  // the granularity the cost model wants. Per document, the DataGuide's
-  // occurrence counts plus a needle-length screen (slices shorter than
-  // the needle cannot contain it) estimate the bytes a slice-by-slice
-  // scan would touch; when those candidates cover enough of the
-  // document's pre-lowered pool, ONE SIMD sweep of the whole pool
-  // replaces them all and the posting run is intersected with the
-  // resulting element bitset. Distinct paths never share a (doc, pos) —
-  // an element has exactly one label path — so cross-run duplicates are
-  // impossible and a per-document sort by pos restores document order.
-  //
-  // Everything here runs under the summary lock without touching any
-  // shard (lock order: shard before summary, never the reverse), which
-  // is why occurrences carry the FlatDoc pointer.
+  size_t total = 0;
+  for (uint32_t id : ids) total += summary_.entry(id).occurrences.size();
+
+  if (ids.size() == 2) {
+    // Two runs (the common //LABEL shape: one path per parent
+    // context): a classic two-pointer merge, one compare per emitted
+    // match instead of the generic min-scan's per-run loop.
+    const std::vector<PathOccurrence>& a = summary_.entry(ids[0]).occurrences;
+    const std::vector<PathOccurrence>& b = summary_.entry(ids[1]).occurrences;
+    out.reserve(total);
+    size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+      const bool take_a =
+          a[i].doc < b[j].doc || (a[i].doc == b[j].doc && a[i].pos < b[j].pos);
+      out.push_back(MatchFromOccurrence(take_a ? a[i] : b[j]));
+      if (take_a) {
+        ++i;
+      } else {
+        ++j;
+      }
+    }
+    for (; i < a.size(); ++i) out.push_back(MatchFromOccurrence(a[i]));
+    for (; j < b.size(); ++j) out.push_back(MatchFromOccurrence(b[j]));
+    return out;
+  }
+
+  if (ids.size() <= 8) {
+    // Few runs, nothing filtered: merge the (doc, pos)-sorted
+    // occurrence lists directly — linear min-scan beats sorting the
+    // concatenation.
+    std::vector<const std::vector<PathOccurrence>*> runs;
+    std::vector<size_t> cursor(ids.size(), 0);
+    runs.reserve(ids.size());
+    for (uint32_t id : ids) runs.push_back(&summary_.entry(id).occurrences);
+    out.reserve(total);
+    for (size_t emitted = 0; emitted < total; ++emitted) {
+      size_t best = ids.size();
+      for (size_t r = 0; r < runs.size(); ++r) {
+        if (cursor[r] >= runs[r]->size()) continue;
+        if (best == ids.size()) {
+          best = r;
+          continue;
+        }
+        const PathOccurrence& a = (*runs[r])[cursor[r]];
+        const PathOccurrence& b = (*runs[best])[cursor[best]];
+        if (a.doc < b.doc || (a.doc == b.doc && a.pos < b.pos)) best = r;
+      }
+      const PathOccurrence& occ = (*runs[best])[cursor[best]++];
+      out.push_back(MatchFromOccurrence(occ));
+    }
+    return out;
+  }
+
+  out.reserve(total);
+  for (uint32_t id : ids) {
+    for (const PathOccurrence& occ : summary_.entry(id).occurrences) {
+      out.push_back(MatchFromOccurrence(occ));
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const QueryMatch& a, const QueryMatch& b) {
+              return a.doc != b.doc ? a.doc < b.doc : a.pos < b.pos;
+            });
+  return out;
+}
+
+std::vector<QueryMatch> XmlRepository::SeedFromColumns(const PathQuery& query,
+                                                       size_t k) const {
+  const QueryStep& step = query.steps()[k];
+  // Parse pre-lowers the needle; hand-assembled steps pay it here.
+  const std::string lowered = step.val_lower.size() == step.val_contains.size()
+                                  ? step.val_lower
+                                  : AsciiLower(step.val_contains);
   const size_t m = lowered.size();
 
-  // Full-cover sweep: a pattern that matches EVERY summary path (the
-  // repository is add-only, so every trie path has occurrences) makes
-  // every element of every document a candidate. The posting k-way
-  // merge and per-occurrence screening then add nothing — candidates
-  // cover each pool by construction, which is exactly the regime the
-  // cost model's sweep condition describes — so each document is
-  // visited once through the root-path occurrence runs (one root
-  // occurrence per admitted document) and its pool swept directly.
-  // Set bits are emitted as matches without posting intersection:
-  // element index order IS in-document (pos) order, and distinct
-  // paths never share a (doc, pos), so no sort and no dedup apply.
-  // Needs m > 0 (an empty needle marks the whole bitset including the
-  // slack bits past element_count) and flat storage for the pools.
-  if (freeze_flat_ && m > 0 && !ids.empty() &&
-      ids.size() == summary_.path_count()) {
+  // Everything here runs under the summary lock without touching any
+  // shard (lock order: shard before summary, never the reverse).
+  std::vector<QueryMatch> out;
+  std::shared_lock<std::shared_mutex> lock(summary_mutex_);
+  const std::vector<uint32_t> ids = MatchSummaryPaths(summary_, query, k + 1);
+  if (ids.empty()) return out;
+
+  if (freeze_flat_ && ids.size() == summary_.path_count()) {
+    // Full cover: the pattern matches EVERY summary path (the
+    // repository is add-only, so every trie path has occurrences), so
+    // every element is a candidate and each document's pre-lowered pool
+    // already is the concatenation of its columns, in pos order. Each
+    // document is visited once through the root-path occurrence runs
+    // (one root occurrence per admitted document) and its pool swept
+    // into an element bitset whose set bits are the seeds, already in
+    // (doc, pos) order — cheaper than bucketing the columns' hits.
     PredicateScratch scratch;
     std::vector<const std::vector<PathOccurrence>*> root_runs;
     for (uint32_t id : summary_.roots()) {
@@ -628,374 +618,96 @@ std::vector<QueryMatch> XmlRepository::QueryViaSummary(
       }
     }
     predicate_bytes_.Add(scratch.bytes_scanned);
-    *swept = scratch.sweeps > 0;
     return out;
   }
 
-  std::vector<const std::vector<PathOccurrence>*> runs;
-  runs.reserve(ids.size());
-  size_t total = 0;
+  // One scanner run per matched path's column. A hit at column offset
+  // h lies in the value v with off[v] <= h < off[v + 1] (values are
+  // adjacent and ascending, so v only advances) and is a match iff it
+  // also ENDS inside v — a hit straddling into the next value exists
+  // only in the concatenation. Either way no later hit starting in v can
+  // matter (v matched, or every later start in v straddles too), so the
+  // scan resumes at the next value: the loop is bounded by the values.
+  size_t runs_with_hits = 0;
+  uint64_t bytes = 0;
   for (uint32_t id : ids) {
-    runs.push_back(&summary_.entry(id).occurrences);
-    total += runs.back()->size();
+    const PathIndex::Entry& entry = summary_.entry(id);
+    const std::string_view column = entry.column;
+    const uint32_t* off = entry.column_off.data();
+    bytes += column.size();
+    const size_t before = out.size();
+    size_t v = 0;
+    for (size_t h = FindLowered(column, lowered); h != std::string_view::npos;
+         h = FindLowered(column, lowered, off[v + 1])) {
+      while (off[v + 1] <= h) ++v;
+      if (h + m <= off[v + 1]) {
+        out.push_back(MatchFromOccurrence(entry.occurrences[v]));
+      }
+    }
+    if (out.size() > before) ++runs_with_hits;
   }
-  out.reserve(total);
-
-  PredicateScratch scratch;
-  std::vector<const PathOccurrence*> doc_matches;
-  std::vector<const PathOccurrence*> cands;
-  struct OccRange {
-    const PathOccurrence* begin;
-    const PathOccurrence* end;
-  };
-  std::vector<OccRange> parts;
-
-  // Evaluates one document's occurrence subranges (`parts`) and emits
-  // its surviving matches in pos order.
-  auto process_doc = [&](const FlatDoc* flat) {
-    doc_matches.clear();
-    if (flat != nullptr) {
-      // One screening pass collects the candidates (slices at least
-      // needle-sized; shorter ones cannot match — by length in the
-      // slice branch, and a sweep hit cannot fit inside one either, so
-      // both branches below may scan candidates only). The collected
-      // order is parts then pos, exactly the old two-pass order.
-      const uint32_t* off = flat->text_offsets();
-      cands.clear();
-      size_t cand_bytes = 0;
-      for (const OccRange& part : parts) {
-        for (const PathOccurrence* occ = part.begin; occ != part.end; ++occ) {
-          const size_t len = off[occ->pos + 1] - off[occ->pos];
-          if (len >= m) {
-            cands.push_back(occ);
-            cand_bytes += len;
-          }
-        }
-      }
-      const std::string_view pool = flat->lowered_pool();
-      if (ShouldSweepPool(cands.size(), cand_bytes, pool.size())) {
-        const uint64_t* bits = SweepValBitset(*flat, lowered, scratch);
-        for (const PathOccurrence* occ : cands) {
-          if (BitsetTest(bits, occ->pos)) doc_matches.push_back(occ);
-        }
-      } else {
-        scratch.bytes_scanned += cand_bytes;
-        for (const PathOccurrence* occ : cands) {
-          const size_t len = off[occ->pos + 1] - off[occ->pos];
-          if (FindLowered(std::string_view(pool.data() + off[occ->pos], len),
-                          lowered) != std::string_view::npos) {
-            doc_matches.push_back(occ);
-          }
-        }
-      }
-    } else {
-      // Pointer mode: per-node scans through the same SIMD kernel
-      // (ContainsLowered routes into util/simd_scan). The length screen
-      // and byte accounting mirror the flat slice path.
-      for (const OccRange& part : parts) {
-        for (const PathOccurrence* occ = part.begin; occ != part.end; ++occ) {
-          const std::string_view val = occ->node->val();
-          if (val.size() < m) continue;
-          scratch.bytes_scanned += val.size();
-          if (ContainsLowered(val, lowered)) doc_matches.push_back(occ);
-        }
-      }
-    }
-    if (parts.size() > 1 && doc_matches.size() > 1) {
-      std::sort(doc_matches.begin(), doc_matches.end(),
-                [](const PathOccurrence* a, const PathOccurrence* b) {
-                  return a->pos < b->pos;
-                });
-    }
-    for (const PathOccurrence* occ : doc_matches) {
-      out.push_back(MatchFromOccurrence(*occ));
-    }
-  };
-
-  if (runs.size() == 1) {
-    // Single path id: document runs are contiguous in the one list.
-    const std::vector<PathOccurrence>& run = *runs[0];
-    for (size_t i = 0; i < run.size();) {
-      size_t j = i + 1;
-      while (j < run.size() && run[j].doc == run[i].doc) ++j;
-      // Two-tier lookahead: the FlatDoc struct a dozen occurrences out
-      // (roughly 8 docs), its arrays two docs out — per-doc work is a
-      // few dozen nanoseconds, shorter than one DRAM round trip, so a
-      // single-doc distance cannot hide the three dependent cold block
-      // loads that otherwise dominate the run.
-      if (j + 12 < run.size()) __builtin_prefetch(run[j + 12].flat);
-      if (j < run.size() && run[j].flat != nullptr) {
-        size_t k = j + 1;
-        while (k < run.size() && run[k].doc == run[j].doc) ++k;
-        const FlatDoc* ahead = k < run.size() ? run[k].flat : run[j].flat;
-        if (ahead != nullptr) {
-          __builtin_prefetch(ahead->text_offsets());
-          __builtin_prefetch(ahead->lowered_pool().data());
-        }
-      }
-      parts.clear();
-      parts.push_back(OccRange{run.data() + i, run.data() + j});
-      process_doc(run[i].flat);
-      i = j;
-    }
-  } else {
-    // K-way document merge across the per-path lists: each iteration
-    // picks the smallest unprocessed doc id, gathers that document's
-    // subrange from every run that has it, and batch-evaluates them
-    // together (so a document's pool is swept at most once per query,
-    // not once per path).
-    std::vector<size_t> cursor(runs.size(), 0);
-    std::vector<size_t> active;  // runs holding the current doc
-    active.reserve(runs.size());
-    while (true) {
-      DocId doc = 0;
-      bool any = false;
-      active.clear();
-      for (size_t r = 0; r < runs.size(); ++r) {
-        if (cursor[r] >= runs[r]->size()) continue;
-        const DocId d = (*runs[r])[cursor[r]].doc;
-        if (!any || d < doc) {
-          doc = d;
-          any = true;
-          active.clear();
-          active.push_back(r);
-        } else if (d == doc) {
-          active.push_back(r);
-        }
-      }
-      if (!any) break;
-      parts.clear();
-      const FlatDoc* flat = nullptr;
-      for (size_t r : active) {
-        const std::vector<PathOccurrence>& run = *runs[r];
-        size_t i = cursor[r];
-        if (parts.empty()) flat = run[i].flat;
-        while (i < run.size() && run[i].doc == doc) ++i;
-        parts.push_back(OccRange{run.data() + cursor[r], run.data() + i});
-        cursor[r] = i;
-      }
-      process_doc(flat);
-    }
-  }
-  predicate_bytes_.Add(scratch.bytes_scanned);
-  *swept = scratch.sweeps > 0;
+  predicate_bytes_.Add(bytes);
+  // Each run is (doc, pos)-sorted, and distinct paths never share a
+  // (doc, pos) — an element has exactly one label path.
+  if (runs_with_hits > 1) OrderByDocPos(out);
   return out;
 }
 
-std::vector<QueryMatch> XmlRepository::QueryViaPrefix(const PathQuery& query,
-                                                      size_t prefix_len) const {
-  const std::vector<QueryStep>& steps = query.steps();
-  std::vector<NameId> labels(prefix_len);
-  for (size_t i = 0; i < prefix_len; ++i) {
-    const StepTest test = ResolveStep(steps[i]);
-    if (test.impossible) return {};
-    labels[i] = test.name;
-  }
-
-  // Copy the prefix path's occurrence list so trees are walked without
-  // holding the summary lock (the list is append-mutated by Add; the
-  // nodes themselves are immutable once admitted).
-  std::vector<PathOccurrence> occurrences;
-  {
-    std::shared_lock<std::shared_mutex> lock(summary_mutex_);
-    const uint32_t pid = summary_.FindPath(labels.data(), prefix_len);
-    if (pid == PathIndex::kNoPath) return {};
-    occurrences = summary_.entry(pid).occurrences;
-  }
-
-  // Group into per-document frontier ranges (the list is (doc, pos)
-  // sorted, so ranges are contiguous).
-  struct DocRange {
-    DocId doc;
-    size_t begin;
-    size_t end;
-  };
-  std::vector<DocRange> ranges;
-  for (size_t i = 0; i < occurrences.size();) {
+std::vector<QueryMatch> XmlRepository::EvaluateSuffix(
+    const PathQuery& query, size_t first_step,
+    const std::vector<QueryMatch>& seeds) const {
+  // Seeded documents are evaluated one at a time on the calling thread,
+  // without any lock: frozen documents and admitted trees are
+  // immutable. One scratch serves every document, so steady-state
+  // evaluation allocates nothing per document.
+  std::vector<QueryMatch> out;
+  FlatEvalScratch scratch;
+  std::vector<uint32_t> frontier;
+  uint64_t docs = 0;
+  uint64_t flat_docs = 0;
+  for (size_t i = 0; i < seeds.size();) {
+    const DocId doc = seeds[i].doc;
     size_t j = i + 1;
-    while (j < occurrences.size() && occurrences[j].doc == occurrences[i].doc) {
-      ++j;
+    while (j < seeds.size() && seeds[j].doc == doc) ++j;
+    ++docs;
+    // Two-tier lookahead: FlatDoc structs ~8 seeds out, the next
+    // document's arrays now — the array addresses live in the struct,
+    // and per-document work is shorter than a DRAM round trip.
+    if (i + 8 < seeds.size()) __builtin_prefetch(seeds[i + 8].flat);
+    if (j < seeds.size() && seeds[j].flat != nullptr) {
+      const FlatDoc* ahead = seeds[j].flat;
+      __builtin_prefetch(ahead->block_data());
+      __builtin_prefetch(ahead->block_data() +
+                         size_t{3} * 4 * ahead->element_count());
+      __builtin_prefetch(ahead->text_offsets());
+      __builtin_prefetch(ahead->lowered_pool().data());
     }
-    ranges.push_back(DocRange{occurrences[i].doc, i, j});
+    if (const FlatDoc* flat = seeds[i].flat) {
+      ++flat_docs;
+      frontier.clear();
+      for (size_t s = i; s < j; ++s) frontier.push_back(seeds[s].pos);
+      std::vector<uint32_t> result =
+          query.EvaluateFrom(*flat, std::move(frontier), first_step, scratch);
+      for (uint32_t e : result) {
+        out.push_back(QueryMatch{doc, e, nullptr, flat});
+      }
+      // EvaluateFrom consumes and returns the frontier buffer; moving it
+      // back recycles the capacity.
+      frontier = std::move(result);
+    } else {
+      std::vector<const Node*> nodes;
+      nodes.reserve(j - i);
+      for (size_t s = i; s < j; ++s) nodes.push_back(seeds[s].node);
+      for (const Node* node :
+           query.EvaluateFrom(std::move(nodes), first_step)) {
+        out.push_back(QueryMatch{doc, 0, node, nullptr});
+      }
+    }
     i = j;
   }
-
-  auto eval_ranges = [&](size_t range_begin, size_t range_end,
-                         std::vector<QueryMatch>& sink) {
-    // One scratch per chunk task: resolved step tests, frontier buffers
-    // and the predicate arena all persist across the chunk's documents,
-    // so steady-state evaluation performs no per-document allocation.
-    FlatEvalScratch scratch;
-    std::vector<uint32_t> frontier;
-    size_t flat_evaluated = 0;
-    for (size_t r = range_begin; r < range_end; ++r) {
-      const DocRange& range = ranges[r];
-      const PathOccurrence& seed = occurrences[range.begin];
-      // Two-tier lookahead, same rationale as the summary predicate
-      // runs: structs ~8 docs out, arrays two docs out.
-      if (r + 8 < range_end) {
-        __builtin_prefetch(occurrences[ranges[r + 8].begin].flat);
-      }
-      if (r + 2 < range_end) {
-        const PathOccurrence& next = occurrences[ranges[r + 2].begin];
-        if (next.flat != nullptr) {
-          // Suffix evaluation walks names and subtree ranges before it
-          // reaches vals, so pull the block's front (names) and the
-          // subtree_end region in too, not just offsets + pool.
-          const uint32_t count = next.flat->element_count();
-          __builtin_prefetch(next.flat->block_data());
-          __builtin_prefetch(next.flat->block_data() +
-                             size_t{3} * 4 * count);
-          __builtin_prefetch(next.flat->text_offsets());
-          __builtin_prefetch(next.flat->lowered_pool().data());
-        }
-      }
-      if (seed.flat != nullptr) {
-        // Frozen document: the frontier is the occurrence positions and
-        // the suffix runs as subtree-range scans — no lock, no pointers.
-        const FlatDoc& flat = *seed.flat;
-        frontier.clear();
-        frontier.reserve(range.end - range.begin);
-        for (size_t i = range.begin; i < range.end; ++i) {
-          frontier.push_back(occurrences[i].pos);
-        }
-        std::vector<uint32_t> result =
-            query.EvaluateFrom(flat, std::move(frontier), prefix_len, scratch);
-        for (uint32_t e : result) {
-          sink.push_back(QueryMatch{range.doc, e, nullptr, &flat});
-        }
-        // The result's storage is the frontier buffer (EvaluateFrom
-        // consumes and returns it); moving it back recycles the
-        // capacity so steady state allocates nothing per document.
-        frontier = std::move(result);
-        ++flat_evaluated;
-        continue;
-      }
-      std::vector<const Node*> node_frontier;
-      node_frontier.reserve(range.end - range.begin);
-      for (size_t i = range.begin; i < range.end; ++i) {
-        node_frontier.push_back(occurrences[i].node);
-      }
-      for (const Node* node :
-           query.EvaluateFrom(std::move(node_frontier), prefix_len)) {
-        sink.push_back(QueryMatch{range.doc, 0, node, nullptr});
-      }
-    }
-    if (flat_evaluated > 0) flat_scans_.Add(flat_evaluated);
-    if (scratch.predicate_bytes_scanned() > 0) {
-      predicate_bytes_.Add(scratch.predicate_bytes_scanned());
-    }
-  };
-
-  const size_t chunks =
-      (ranges.size() + kPrefixChunkDocs - 1) / kPrefixChunkDocs;
-  shard_tasks_.Add(chunks);
-  std::vector<QueryMatch> out;
-  ThreadPool* pool = EnsurePool();
-  if (pool != nullptr && chunks > 1) {
-    std::vector<std::vector<QueryMatch>> results(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-      pool->Submit([&, c] {
-        eval_ranges(c * kPrefixChunkDocs,
-                    std::min(ranges.size(), (c + 1) * kPrefixChunkDocs),
-                    results[c]);
-      });
-    }
-    pool->Wait();
-    // Chunks are doc-ascending, so ordered concatenation is the
-    // deterministic merge.
-    for (std::vector<QueryMatch>& part : results) {
-      out.insert(out.end(), part.begin(), part.end());
-    }
-  } else {
-    eval_ranges(0, ranges.size(), out);
-  }
-  return out;
-}
-
-std::vector<QueryMatch> XmlRepository::QueryViaScan(
-    const PathQuery& query) const {
-  const std::vector<QueryStep>& steps = query.steps();
-  const StepTest first = ResolveStep(steps[0]);
-  if (first.impossible) return {};
-
-  const size_t shard_count = shards_.size();
-  std::vector<std::vector<QueryMatch>> results(shard_count);
-
-  auto scan_shard = [&](size_t s) {
-    const Shard& shard = *shards_[s];
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    // Shard-index pruning for the first step: an exact root-label
-    // posting for /name, the label posting for //name, everything for
-    // a wildcard.
-    const std::vector<DocId>* candidates = nullptr;
-    std::vector<DocId> all;
-    if (!first.wildcard && !steps[0].descendant) {
-      candidates = &shard.index.DocsOf(shard.index.FindPath(&first.name, 1));
-    } else if (!first.wildcard) {
-      candidates = &shard.index.DocsWithLabel(first.name);
-    } else {
-      all.reserve(shard.slots.size());
-      for (size_t slot = 0; slot < shard.slots.size(); ++slot) {
-        if (shard.slots[slot].present()) {
-          all.push_back(slot * shard_count + s);
-        }
-      }
-      candidates = &all;
-    }
-    if (candidates->empty()) return;
-    shard_tasks_.Increment();
-    FlatEvalScratch scratch;  // per shard task, reused across documents
-    size_t walked = 0;
-    size_t flat_evaluated = 0;
-    for (DocId id : *candidates) {
-      const StoredDoc& stored = shard.slots[id / shard_count];
-      if (stored.flat != nullptr) {
-        ++walked;
-        ++flat_evaluated;
-        const FlatDoc& flat = *stored.flat;
-        for (uint32_t e : query.Evaluate(flat, scratch)) {
-          results[s].push_back(QueryMatch{id, e, nullptr, &flat});
-        }
-      } else if (stored.tree != nullptr) {
-        ++walked;
-        for (const Node* node : query.Evaluate(*stored.tree)) {
-          results[s].push_back(QueryMatch{id, 0, node, nullptr});
-        }
-      }
-      // else: transient hole under concurrent Add
-    }
-    fallback_walks_.Add(walked);
-    if (flat_evaluated > 0) flat_scans_.Add(flat_evaluated);
-    if (scratch.predicate_bytes_scanned() > 0) {
-      predicate_bytes_.Add(scratch.predicate_bytes_scanned());
-    }
-  };
-
-  ThreadPool* pool = EnsurePool();
-  if (pool != nullptr && shard_count > 1) {
-    for (size_t s = 0; s < shard_count; ++s) {
-      pool->Submit([&, s] { scan_shard(s); });
-    }
-    pool->Wait();
-  } else {
-    for (size_t s = 0; s < shard_count; ++s) scan_shard(s);
-  }
-
-  // Deterministic merge: per-shard lists are doc-ascending; a stable
-  // sort by doc id interleaves them without disturbing in-document
-  // order, and doc ids are unique to one shard.
-  std::vector<QueryMatch> out;
-  size_t total = 0;
-  for (const std::vector<QueryMatch>& part : results) total += part.size();
-  out.reserve(total);
-  for (const std::vector<QueryMatch>& part : results) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const QueryMatch& a, const QueryMatch& b) {
-                     return a.doc < b.doc;
-                   });
+  fallback_walks_.Add(docs);
+  flat_scans_.Add(flat_docs);
+  predicate_bytes_.Add(scratch.predicate_bytes_scanned());
   return out;
 }
 
@@ -1031,7 +743,6 @@ obs::QueryStatsView XmlRepository::query_stats() const {
   view.prefix_hits = prefix_hits_.value();
   view.fallback_walks = fallback_walks_.value();
   view.flat_scans = flat_scans_.value();
-  view.shard_tasks = shard_tasks_.value();
   view.matches = matches_.value();
   view.predicate_bytes_scanned = predicate_bytes_.value();
   view.plan_summary = plan_summary_.value();

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -18,7 +17,6 @@
 #include "schema/frequent_paths.h"
 #include "schema/label_path.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "xml/dtd.h"
 #include "xml/flat_doc.h"
 #include "xml/node.h"
@@ -69,12 +67,9 @@ struct RepositoryStats {
 /// Serving-layer configuration.
 struct RepositoryOptions {
   /// Document shards. 0 (the default) means one per hardware thread.
-  /// More shards reduce Add/Query contention; query results are
-  /// identical for every value.
+  /// More shards reduce Add contention; query results are identical
+  /// for every value.
   size_t num_shards = 0;
-  /// Worker threads for query fan-out. 0 means one per hardware
-  /// thread; values <= 1 evaluate inline (no pool is ever created).
-  size_t query_threads = 0;
   /// Freeze documents into the flat representation at Add, releasing
   /// the pointer tree (and its arena, when handed over). Disable
   /// (CLI: --no-flat) to keep the pointer trees, e.g. when callers
@@ -87,58 +82,54 @@ struct RepositoryOptions {
 /// Quixote prototype [11]) — organized as a concurrent serving layer.
 ///
 /// Layout: documents are sharded by id (shard = id mod N). Each shard
-/// owns its documents, a NameId-keyed inverted path index, an
-/// incrementally-fed FrequentPathMiner trie, and a shared_mutex, so
-/// reads proceed concurrently with each other and with Add on other
-/// shards. A repository-wide structural summary (a DataGuide over
-/// NameId paths, with per-path element occurrence lists) answers
-/// structural queries without touching any document.
+/// owns its documents, an incrementally-fed FrequentPathMiner trie and
+/// a shared_mutex, so reads proceed concurrently with each other and
+/// with Add on other shards. A repository-wide structural summary (a
+/// DataGuide over NameId paths) keeps, per path, its element
+/// occurrences and a value column — the path's ASCII-lowered values
+/// concatenated in (doc, pos) order — and answers every query without
+/// touching any shard.
 ///
 /// Storage: with freeze_flat (the default) Add freezes each admitted
 /// tree into a FlatDoc — one contiguous read-only block per document —
 /// and releases the pointer tree and its NodeArena before taking any
 /// lock, so steady-state RSS is the flat blocks plus the indexes.
-/// Summary occurrences carry (pos, owning FlatDoc), making predicate
-/// filtering and suffix evaluation lock-free index arithmetic. With
-/// freeze_flat off the pointer trees are kept and evaluated as before.
+/// Summary occurrences carry (pos, owning FlatDoc), making suffix
+/// evaluation lock-free index arithmetic. With freeze_flat off the
+/// pointer trees are kept and evaluated as before.
 ///
-/// Query execution picks the cheapest of three plans (dispatch is
-/// identical in flat and pointer mode; only the evaluator differs):
-///  1. summary-only: every step is a name/wildcard/descendant test and
-///     only the FINAL step may carry a [val~…] predicate — the summary
-///     trie is pattern-matched and matches stream straight from the
-///     occurrence lists (query.index_hits). A final predicate is
-///     evaluated per DOCUMENT run of the (doc, pos)-sorted occurrence
-///     lists: the DataGuide's occurrence counts plus a needle-length
-///     selectivity screen (slices shorter than the needle cannot match)
-///     cost each document, and either the candidate slices are scanned
-///     individually or the document's whole pre-lowered pool gets one
-///     SIMD sweep whose hit bitset is intersected with the posting run
-///     (repository/predicate.h; in pointer mode, per-node scans);
-///  2. summary-seeded: an intermediate (non-final) predicate stops
-///     plan 1, but a non-empty simple child-axis prefix still resolves
-///     from the summary; only the remaining steps are evaluated, from
-///     the occurrence frontier (query.prefix_hits);
-///  3. sharded scan: intermediate predicate and no usable prefix —
-///     per-shard per-document evaluation, pruned by the shard indexes
-///     and fanned out through a ThreadPool (query.fallback_walks counts
-///     evaluated documents).
-/// Every query increments exactly one query.plan.* counter: `summary`
-/// (plan 1, no sweep), `sweep` (plan 1 that swept >= 1 document pool),
-/// `seeded` (plan 2) or `scan` (plan 3) — all decisions depend only on
-/// the corpus and the query, never on sharding, threading or the SIMD
-/// level, so the counters sit in the determinism view. Predicate work
-/// across all plans is charged to query.predicate_bytes_scanned (full
-/// lengths of inspected slices, or whole pools for sweeps — also
-/// deterministic). Documents evaluated through the flat evaluator in
-/// plans 2–3 are counted by query.flat_scans (0 in pointer mode). All
-/// plans return matches sorted by (doc id, document order), so results
-/// are byte-identical across shard counts, thread counts, both storage
-/// modes and every SIMD level.
+/// Query execution is one seed source plus one executor (identical in
+/// flat and pointer mode; only the suffix evaluator differs). Let k be
+/// the first step carrying a `[val~…]` predicate:
+///  - no predicate: the summary trie is pattern-matched and the
+///    matched paths' occurrence runs are the answer;
+///  - otherwise steps [0, k] are pattern-matched on the trie and each
+///    matched path's value column is swept once by the SIMD scanner;
+///    the hits, bucketed by document, are the elements matching steps
+///    [0, k] in (doc, pos) order. When the matched paths cover the
+///    whole summary (`//*[val~…]`) in flat mode, each document's
+///    pre-lowered pool already is that column in (doc, pos) order and
+///    is swept instead;
+///  - steps after k are evaluated per seeded document by
+///    PathQuery::EvaluateFrom on the calling thread.
+/// Every query increments exactly one query.plan.* counter, defined by
+/// its shape: `summary` (no predicate), `sweep` (a predicate on the
+/// final step only), `seeded` (an intermediate predicate behind a
+/// child-axis name prefix) or `scan` (an intermediate predicate under a
+/// `//` or `*` prefix). query.index_hits counts queries answered
+/// without per-document evaluation, query.prefix_hits those with an
+/// EvaluateFrom suffix; query.fallback_walks counts the documents that
+/// suffix evaluated and query.flat_scans the subset evaluated through a
+/// FlatDoc (0 in pointer mode). Predicate work — column bytes swept
+/// plus the suffix evaluator's charge — is query.predicate_bytes_scanned.
+/// Every counter depends only on the corpus and the query, never on
+/// sharding, threading or the SIMD level, and all queries return
+/// matches sorted by (doc id, document order), byte-identical across
+/// shard counts, both storage modes and every SIMD level.
 ///
 /// Lock order: shard before summary, never the reverse. (This is why
-/// occurrences carry the FlatDoc pointer: plan 1 filters predicates
-/// under the summary lock, where taking a shard lock is forbidden.)
+/// occurrences carry the FlatDoc pointer: seeding runs under the
+/// summary lock, where taking a shard lock is forbidden.)
 ///
 /// Optionally the repository enforces a DTD on admission (documents are
 /// expected to have been conformed by the Document Mapping Component).
@@ -295,8 +286,6 @@ class XmlRepository {
     mutable std::shared_mutex mutex;
     /// Documents of this shard; slot = id / num_shards.
     std::vector<StoredDoc> slots;
-    /// Inverted path index of this shard's documents (postings only).
-    PathIndex index{/*record_occurrences=*/false};
     /// Schema-mining trie over this shard's documents, fed at Add.
     FrequentPathMiner miner;
     /// Element count, maintained incrementally at Add.
@@ -312,21 +301,21 @@ class XmlRepository {
   DocId AdmitFrozen(std::unique_ptr<FlatDoc> flat, const DocumentPaths& mined,
                     bool feed_summary);
 
-  /// Plan 1: answer entirely from the structural summary. Sets `swept`
-  /// when at least one document pool was answered by a full SIMD sweep
-  /// (the query.plan.sweep classification).
-  std::vector<QueryMatch> QueryViaSummary(const PathQuery& query,
-                                          bool* swept) const;
-  /// Plan 2: seed the frontier from the summary, walk the suffix.
-  std::vector<QueryMatch> QueryViaPrefix(const PathQuery& query,
-                                         size_t prefix_len) const;
-  /// Plan 3: sharded full-tree evaluation.
-  std::vector<QueryMatch> QueryViaScan(const PathQuery& query) const;
-
-  /// The fan-out pool, created on first parallel use (never with
-  /// query_threads <= 1). Returns null when evaluation should stay
-  /// inline.
-  ThreadPool* EnsurePool() const;
+  /// Predicate-free query: the matched paths' occurrence runs, merged
+  /// into (doc, pos) order.
+  std::vector<QueryMatch> QuerySummaryRuns(const PathQuery& query) const;
+  /// The elements matching steps [0, k] (k = the first predicate step),
+  /// in (doc, pos) order, from the value columns of the paths steps
+  /// [0, k] match — or the document pools when those cover the whole
+  /// summary.
+  std::vector<QueryMatch> SeedFromColumns(const PathQuery& query,
+                                          size_t k) const;
+  /// Evaluates steps [first_step, …) from `seeds` (steps
+  /// [0, first_step) matched, (doc, pos)-sorted), one document at a
+  /// time.
+  std::vector<QueryMatch> EvaluateSuffix(
+      const PathQuery& query, size_t first_step,
+      const std::vector<QueryMatch>& seeds) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<DocId> next_id_{0};
@@ -334,19 +323,15 @@ class XmlRepository {
   /// Repository-wide structural summary; guarded by summary_mutex_,
   /// taken after a shard mutex, never before.
   mutable std::shared_mutex summary_mutex_;
-  PathIndex summary_{/*record_occurrences=*/true};
+  PathIndex summary_;
 
-  size_t query_threads_ = 1;
   bool freeze_flat_ = true;
-  mutable std::once_flag pool_once_;
-  mutable std::unique_ptr<ThreadPool> pool_;
 
   mutable obs::Counter queries_;
   mutable obs::Counter index_hits_;
   mutable obs::Counter prefix_hits_;
   mutable obs::Counter fallback_walks_;
   mutable obs::Counter flat_scans_;
-  mutable obs::Counter shard_tasks_;
   mutable obs::Counter matches_;
   mutable obs::Counter predicate_bytes_;
   mutable obs::Counter plan_summary_;

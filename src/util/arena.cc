@@ -12,7 +12,8 @@ void* Arena::AllocateSlow(size_t size, size_t align) {
     next_block_bytes_ = std::min(next_block_bytes_ * 2, kMaxBlockBytes);
   }
   Block block;
-  block.data = std::make_unique<char[]>(block_bytes);
+  // Not value-initialised: every arena user writes before it reads.
+  block.data = std::make_unique_for_overwrite<char[]>(block_bytes);
   block.size = block_bytes;
   cursor_ = reinterpret_cast<uintptr_t>(block.data.get());
   limit_ = cursor_ + block_bytes;

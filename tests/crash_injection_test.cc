@@ -70,7 +70,6 @@ std::unique_ptr<Node> MakeDoc(size_t index) {
 DurableOptions Opts(WalSyncMode sync = WalSyncMode::kFdatasync) {
   DurableOptions options;
   options.repository.num_shards = 2;
-  options.repository.query_threads = 1;
   options.wal_sync = sync;
   return options;
 }
@@ -143,7 +142,6 @@ std::vector<std::pair<DocId, uint32_t>> Run(const XmlRepository& repo,
 void VerifyRecovery(const std::string& dir, size_t expected_docs) {
   RepositoryOptions fresh_options;
   fresh_options.num_shards = 2;
-  fresh_options.query_threads = 1;
   XmlRepository fresh(fresh_options);
   for (size_t i = 0; i < expected_docs; ++i) {
     ASSERT_TRUE(fresh.Add(MakeDoc(i)).ok());

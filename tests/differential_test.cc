@@ -12,6 +12,7 @@
 #include "corpus/resume_generator.h"
 #include "html/parser.h"
 #include "html/tidy.h"
+#include "naive_query_oracle.h"
 #include "repository/repository.h"
 #include "restructure/converter.h"
 #include "restructure/recognizer.h"
@@ -42,18 +43,6 @@ Fixture& Shared() {
   return fixture;
 }
 
-// Pre-order position among ELEMENTS only — the same numbering
-// CollectLocalPaths and FlatDoc::Freeze assign, so pointer-tree matches
-// canonicalize to the (doc, pos) coordinates flat matches carry.
-std::map<const Node*, uint32_t> ElementOrderIndex(const Node& root) {
-  std::map<const Node*, uint32_t> index;
-  uint32_t n = 0;
-  root.PreOrder([&](const Node& node) {
-    if (node.is_element()) index[&node] = n++;
-  });
-  return index;
-}
-
 class QueryDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(QueryDifferential, IndexPrunedQueryEqualsBruteForce) {
@@ -64,7 +53,7 @@ TEST_P(QueryDifferential, IndexPrunedQueryEqualsBruteForce) {
   for (size_t i = 0; i < 25; ++i) {
     auto doc = f.converter.Convert(GenerateResume(i).html);
     kept.push_back(doc->Clone());
-    order.push_back(ElementOrderIndex(*kept.back()));
+    order.push_back(oracle::ElementOrderIndex(*kept.back()));
     ASSERT_TRUE(repo.Add(std::move(doc)).ok());
   }
   auto parsed = PathQuery::Parse(GetParam());
@@ -219,63 +208,6 @@ PathQuery RandomQuery(Rng& rng) {
   return PathQuery::Parse(text).value();
 }
 
-bool NaiveStepMatches(const QueryStep& step, const Node& node) {
-  if (!node.is_element()) return false;
-  if (step.name != "*" && node.name() != step.name) return false;
-  if (!step.val_contains.empty() &&
-      !ContainsIgnoreCase(node.val(), step.val_contains)) {
-    return false;
-  }
-  return true;
-}
-
-void NaiveCollectDescendants(const Node& from, const QueryStep& step,
-                             std::vector<const Node*>& out) {
-  for (size_t i = 0; i < from.child_count(); ++i) {
-    const Node* child = from.child(i);
-    if (!child->is_element()) continue;
-    if (NaiveStepMatches(step, *child)) out.push_back(child);
-    NaiveCollectDescendants(*child, step, out);
-  }
-}
-
-std::vector<const Node*> NaiveEvaluate(const PathQuery& query,
-                                       const Node& root) {
-  const std::vector<QueryStep>& steps = query.steps();
-  std::vector<const Node*> frontier;
-  if (steps[0].descendant) {
-    if (NaiveStepMatches(steps[0], root)) frontier.push_back(&root);
-    NaiveCollectDescendants(root, steps[0], frontier);
-  } else if (NaiveStepMatches(steps[0], root)) {
-    frontier.push_back(&root);
-  }
-  for (size_t s = 1; s < steps.size(); ++s) {
-    std::vector<const Node*> next;
-    for (const Node* node : frontier) {
-      if (steps[s].descendant) {
-        NaiveCollectDescendants(*node, steps[s], next);
-      } else {
-        for (size_t i = 0; i < node->child_count(); ++i) {
-          const Node* child = node->child(i);
-          if (child->is_element() && NaiveStepMatches(steps[s], *child)) {
-            next.push_back(child);
-          }
-        }
-      }
-    }
-    std::vector<const Node*> deduped;
-    for (const Node* node : next) {
-      if (std::find(deduped.begin(), deduped.end(), node) ==
-          deduped.end()) {
-        deduped.push_back(node);
-      }
-    }
-    frontier = std::move(deduped);
-    if (frontier.empty()) break;
-  }
-  return frontier;
-}
-
 TEST(RepositoryDifferential, RandomQueriesAgreeWithNaiveEvaluation) {
   // Three independent evaluators over identical corpora: the frozen
   // FlatDoc repository (default), the pointer-tree repository
@@ -296,7 +228,7 @@ TEST(RepositoryDifferential, RandomQueriesAgreeWithNaiveEvaluation) {
     }
     std::vector<std::map<const Node*, uint32_t>> order;
     for (size_t id = 0; id < ptr_repo.size(); ++id) {
-      order.push_back(ElementOrderIndex(*ptr_repo.document(id)));
+      order.push_back(oracle::ElementOrderIndex(*ptr_repo.document(id)));
     }
     for (size_t q = 0; q < 40; ++q) {
       const PathQuery query = RandomQuery(rng);
@@ -305,7 +237,7 @@ TEST(RepositoryDifferential, RandomQueriesAgreeWithNaiveEvaluation) {
       for (size_t id = 0; id < ptr_repo.size(); ++id) {
         std::set<uint32_t> positions;
         for (const Node* node :
-             NaiveEvaluate(query, *ptr_repo.document(id))) {
+             oracle::NaiveEvaluate(query, *ptr_repo.document(id))) {
           positions.insert(order[id].at(node));
         }
         for (uint32_t pos : positions) expected.emplace_back(id, pos);
@@ -368,8 +300,7 @@ TEST(RepositoryDifferential, ShardCountInvariantResultsAndCounters) {
   }
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(results[0], results[i]) << "shard variant " << i;
-    // Every query.* counter except shard_tasks (pure fan-out
-    // bookkeeping) is a function of corpus and queries alone.
+    // Every query.* counter is a function of corpus and queries alone.
     EXPECT_EQ(stats[0].queries, stats[i].queries);
     EXPECT_EQ(stats[0].index_hits, stats[i].index_hits);
     EXPECT_EQ(stats[0].prefix_hits, stats[i].prefix_hits);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "repository/repository.h"
@@ -44,15 +45,16 @@ INSTANTIATE_TEST_SUITE_P(StorageModes, RepositoryConcurrencyTest,
                            return info.param ? "Flat" : "PointerTree";
                          });
 
-// Readers hammer every query plan (summary, summary-seeded prefix,
-// sharded scan) while writers keep admitting documents. A result must
-// always be internally consistent: sorted by document id with every
-// match carrying a valid element for the active storage mode.
+// Readers hammer every query shape (no predicate, final-step predicate,
+// seeded suffix, full cover) while writers keep admitting documents —
+// and so splicing occurrences and values into the summary's columns,
+// sometimes out of id order. A result must always be internally
+// consistent: sorted by document id with every match carrying a valid
+// element for the active storage mode.
 TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
   const bool freeze = GetParam();
   RepositoryOptions options;
   options.num_shards = 4;
-  options.query_threads = 2;  // force the fan-out pool under TSan
   options.freeze_flat = freeze;
   XmlRepository repo(options);
   for (size_t i = 0; i < 32; ++i) {
@@ -64,29 +66,40 @@ TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
   constexpr size_t kReaders = 3;
   std::atomic<bool> stop{false};
   std::atomic<size_t> failures{0};
+  // Which MakeDoc index each admitted id holds: writers race for ids.
+  std::vector<size_t> index_of(32 + kWriters * kDocsPerWriter);
+  for (size_t i = 0; i < 32; ++i) index_of[i] = i;
 
   std::vector<std::thread> threads;
   for (size_t w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&repo, &failures, w] {
+    threads.emplace_back([&repo, &failures, &index_of, w] {
       for (size_t i = 0; i < kDocsPerWriter; ++i) {
-        if (!repo.Add(MakeDoc(w * kDocsPerWriter + i)).ok()) {
+        const size_t index = w * kDocsPerWriter + i;
+        StatusOr<DocId> id = repo.Add(MakeDoc(index));
+        if (!id.ok()) {
           failures.fetch_add(1);
+        } else {
+          index_of[*id] = index;  // ids are unique: no two writers share
         }
       }
     });
   }
   static const char* const kQueries[] = {
-      "/resume/EDUCATION/DATE",            // summary plan
-      "//LANGUAGE[val~\"java\"]",          // summary plan, predicate
-      "/resume/EDUCATION[val~\"x\"]/DATE", // summary-seeded prefix plan
-      "//EDUCATION[val~\"19\"]/DATE",      // sharded scan plan
-      "//*",                               // wildcard scan
+      "/resume/EDUCATION/DATE",              // no predicate
+      "//LANGUAGE[val~\"java\"]",            // final-step predicate
+      "/resume/EDUCATION[val~\"x\"]/DATE",   // seeded, nothing matches
+      "/resume/EDUCATION/DATE[val~\"19\"]",  // final-step predicate
+      "//EDUCATION/DATE[val~\"199\"]",       // under a // prefix
+      "//*[val~\"c\"]",                      // full cover
+      "/resume/*/LANGUAGE[val~\"C+\"]",      // under a * step
+      "//*",                                 // wildcard, no predicate
   };
+  constexpr size_t kQueryCount = sizeof(kQueries) / sizeof(kQueries[0]);
   for (size_t r = 0; r < kReaders; ++r) {
     threads.emplace_back([&repo, &stop, &failures, freeze, r] {
       size_t round = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        const char* text = kQueries[(r + round++) % 5];
+        const char* text = kQueries[(r + round++) % kQueryCount];
         auto matches = repo.Query(text);
         if (!matches.ok()) {
           failures.fetch_add(1);
@@ -118,7 +131,10 @@ TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
   EXPECT_EQ(repo.size(), 32 + kWriters * kDocsPerWriter);
 
   // Once writers are done the repository is quiescent: every document
-  // is present and the plans agree with a fresh single-shard load.
+  // is present and every answer equals that of a single-shard
+  // repository built serially from the same documents under the same
+  // ids — so the summary's occurrences and value columns, spliced under
+  // out-of-order arrival, are exactly the in-order ones.
   auto dates = repo.Query("/resume/EDUCATION/DATE");
   ASSERT_TRUE(dates.ok());
   EXPECT_EQ(dates->size(), repo.size());
@@ -130,6 +146,31 @@ TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
       EXPECT_NE(repo.document(i), nullptr) << "doc " << i;
     }
   }
+  RepositoryOptions serial_options;
+  serial_options.num_shards = 1;
+  serial_options.freeze_flat = freeze;
+  XmlRepository serial(serial_options);
+  for (size_t id = 0; id < repo.size(); ++id) {
+    ASSERT_EQ(serial.Add(MakeDoc(index_of[id])).value(), id);
+  }
+  // (doc, pos, name, val): pos is the element's pre-order index for flat
+  // matches and for summary matches in pointer mode, identical in both
+  // repositories either way.
+  auto answer = [](const XmlRepository& r, const char* text) {
+    std::vector<std::tuple<DocId, uint32_t, NameId, std::string>> out;
+    const std::vector<QueryMatch> matches = r.Query(text).value();
+    for (const QueryMatch& m : matches) {
+      out.emplace_back(m.doc, m.pos, m.name(), std::string(m.val()));
+    }
+    return out;
+  };
+  const uint64_t bytes_before = repo.query_stats().predicate_bytes_scanned;
+  for (const char* text : kQueries) {
+    EXPECT_EQ(answer(repo, text), answer(serial, text)) << text;
+  }
+  // Same value columns, spliced or appended: the same bytes swept.
+  EXPECT_EQ(repo.query_stats().predicate_bytes_scanned - bytes_before,
+            serial.query_stats().predicate_bytes_scanned);
 }
 
 // DiscoverSchema and Stats may race with Add: both take the same shard

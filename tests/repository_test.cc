@@ -162,7 +162,8 @@ TEST(RepositoryTest, QueryStatsClassifyPlans) {
   repo.Add(SmallDoc("June 1996")).value();
   repo.Add(SmallDoc("May 1998")).value();
 
-  // Structural / final-predicate queries come from the summary.
+  // No predicate: the summary's occurrence runs. A final-step
+  // predicate: the value columns alone. Neither evaluates a document.
   repo.Query("/resume/EDUCATION/DATE").value();
   repo.Query("//DATE[val~\"1996\"]").value();
   obs::QueryStatsView stats = repo.query_stats();
@@ -170,25 +171,40 @@ TEST(RepositoryTest, QueryStatsClassifyPlans) {
   EXPECT_EQ(stats.index_hits, 2u);
   EXPECT_EQ(stats.prefix_hits, 0u);
   EXPECT_EQ(stats.fallback_walks, 0u);
+  EXPECT_EQ(stats.flat_scans, 0u);
+  EXPECT_EQ(stats.plan_summary, 1u);
+  EXPECT_EQ(stats.plan_sweep, 1u);
 
-  EXPECT_EQ(stats.flat_scans, 0u);  // summary plans never evaluate docs
-
-  // An intermediate predicate behind a simple prefix seeds from the
-  // summary and evaluates only the suffix (flat evaluator by default).
-  repo.Query("/resume/EDUCATION[val~\"x\"]/DATE").value();
+  // An intermediate predicate behind a child-axis name prefix: seeded
+  // from the DATE column, the suffix evaluated per seeded document
+  // (flat evaluator by default).
+  repo.Query("/resume/EDUCATION/DATE[val~\"19\"]/INSTITUTION").value();
   stats = repo.query_stats();
   EXPECT_EQ(stats.prefix_hits, 1u);
-  EXPECT_EQ(stats.fallback_walks, 0u);
-  EXPECT_EQ(stats.flat_scans, 2u);  // both documents, via FlatDoc
+  EXPECT_EQ(stats.plan_seeded, 1u);
+  EXPECT_EQ(stats.fallback_walks, 2u);  // both documents seeded
+  EXPECT_EQ(stats.flat_scans, 2u);      // …and evaluated via FlatDoc
 
-  // No usable prefix and an intermediate predicate: full per-document
+  // A predicate no value satisfies seeds no document: same plan, no
   // evaluation.
-  repo.Query("//EDUCATION[val~\"x\"]/DATE").value();
+  repo.Query("/resume/EDUCATION[val~\"x\"]/DATE").value();
   stats = repo.query_stats();
-  EXPECT_EQ(stats.fallback_walks, 2u);  // both documents evaluated
-  EXPECT_EQ(stats.flat_scans, 4u);      // …again through the flat path
-  EXPECT_EQ(stats.queries, 4u);
-  EXPECT_EQ(stats.eval_us.count, 4u);
+  EXPECT_EQ(stats.prefix_hits, 2u);
+  EXPECT_EQ(stats.plan_seeded, 2u);
+  EXPECT_EQ(stats.fallback_walks, 2u);
+
+  // Under a // prefix the executor is the same; the shape is a scan.
+  repo.Query("//DATE[val~\"1998\"]/INSTITUTION").value();
+  stats = repo.query_stats();
+  EXPECT_EQ(stats.plan_scan, 1u);
+  EXPECT_EQ(stats.fallback_walks, 3u);  // only the 1998 document
+  EXPECT_EQ(stats.flat_scans, 3u);
+  EXPECT_EQ(stats.queries, 5u);
+  EXPECT_EQ(stats.index_hits + stats.prefix_hits, stats.queries);
+  EXPECT_EQ(stats.plan_summary + stats.plan_sweep + stats.plan_seeded +
+                stats.plan_scan,
+            stats.queries);
+  EXPECT_EQ(stats.eval_us.count, 5u);
 }
 
 TEST(RepositoryTest, MalformedQueryReportsError) {

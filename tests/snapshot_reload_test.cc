@@ -31,6 +31,9 @@ const char* const kQueries[] = {
     "//LOCATION",
     "/resume/*/PHONE",
     "//*[val~\"199\"]",
+    "/resume/EDUCATION/DATE[val~\"199\"]/DEGREE",
+    "//DATE[val~\"9\"]/DEGREE[val~\"m\"]",
+    "/resume/CONTACT/*[val~\"city-1\"]",
 };
 
 std::unique_ptr<Node> MakeDoc(size_t index) {
@@ -70,8 +73,9 @@ std::vector<std::pair<DocId, uint32_t>> Run(const XmlRepository& repo,
 }
 
 // Runs every query on both repositories and expects identical results
-// and identical deterministic query counters (shard_tasks excluded —
-// it depends on the shard/chunk split, not on the answers).
+// and identical deterministic query counters — predicate bytes included,
+// so the reloaded summary's value columns (rebuilt, never persisted)
+// hold the same values as the live ones.
 void ExpectEquivalent(const XmlRepository& fresh,
                       const XmlRepository& reloaded) {
   ASSERT_EQ(reloaded.size(), fresh.size());
@@ -86,6 +90,29 @@ void ExpectEquivalent(const XmlRepository& fresh,
   EXPECT_EQ(b.fallback_walks, a.fallback_walks);
   EXPECT_EQ(b.flat_scans, a.flat_scans);
   EXPECT_EQ(b.matches, a.matches);
+  EXPECT_EQ(b.predicate_bytes_scanned, a.predicate_bytes_scanned);
+  EXPECT_EQ(b.plan_summary, a.plan_summary);
+  EXPECT_EQ(b.plan_sweep, a.plan_sweep);
+  EXPECT_EQ(b.plan_seeded, a.plan_seeded);
+  EXPECT_EQ(b.plan_scan, a.plan_scan);
+  // Column by column. WAL replay may create paths in another order, so
+  // each live path is looked up in the reloaded summary by its labels.
+  fresh.WithSummary([&](const PathIndex& live) {
+    reloaded.WithSummary([&](const PathIndex& restored) {
+      ASSERT_EQ(restored.path_count(), live.path_count());
+      for (uint32_t id = 0; id < live.path_count(); ++id) {
+        std::vector<NameId> labels;
+        for (uint32_t p = id; p != PathIndex::kNoPath;
+             p = live.entry(p).parent) {
+          labels.insert(labels.begin(), live.entry(p).name);
+        }
+        const uint32_t same = restored.FindPath(labels.data(), labels.size());
+        ASSERT_NE(same, PathIndex::kNoPath);
+        EXPECT_EQ(restored.entry(same).column, live.entry(id).column);
+        EXPECT_EQ(restored.entry(same).column_off, live.entry(id).column_off);
+      }
+    });
+  });
 }
 
 // A fresh, purely in-memory flat repository over the corpus — the
@@ -93,7 +120,6 @@ void ExpectEquivalent(const XmlRepository& fresh,
 std::unique_ptr<XmlRepository> FreshBuild(size_t num_shards) {
   RepositoryOptions options;
   options.num_shards = num_shards;
-  options.query_threads = 1;
   auto repo = std::make_unique<XmlRepository>(options);
   for (size_t i = 0; i < kDocs; ++i) {
     EXPECT_TRUE(repo->Add(MakeDoc(i)).ok());
@@ -111,7 +137,6 @@ std::string FreshDir(const std::string& name) {
 DurableOptions Opts(size_t num_shards) {
   DurableOptions options;
   options.repository.num_shards = num_shards;
-  options.repository.query_threads = 1;
   return options;
 }
 
@@ -210,7 +235,6 @@ TEST(SnapshotReload, PointerModeIngestSnapshotsToFlat) {
   // fly, and a durable open over it serves the same answers flat.
   RepositoryOptions pointer_options;
   pointer_options.num_shards = 2;
-  pointer_options.query_threads = 1;
   pointer_options.freeze_flat = false;
   XmlRepository pointer_repo(pointer_options);
   for (size_t i = 0; i < kDocs; ++i) {

@@ -246,7 +246,6 @@ TEST(WalCodec, BitFlipEndsValidPrefix) {
 TEST(Snapshot, RoundtripIdentity) {
   RepositoryOptions options;
   options.num_shards = 2;
-  options.query_threads = 1;
   XmlRepository repo(options);
   for (size_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(repo.Add(MakeDoc(200 + i)).ok());
@@ -275,7 +274,6 @@ TEST(Snapshot, RoundtripIdentity) {
 std::string BuildImage(size_t docs) {
   RepositoryOptions options;
   options.num_shards = 2;
-  options.query_threads = 1;
   XmlRepository repo(options);
   for (size_t i = 0; i < docs; ++i) {
     EXPECT_TRUE(repo.Add(MakeDoc(200 + i)).ok());
@@ -349,7 +347,6 @@ TEST(Snapshot, NameSwapForcesRemap) {
 
   RepositoryOptions options;
   options.num_shards = 1;
-  options.query_threads = 1;
   XmlRepository repo(options);
   ASSERT_TRUE(repo.Add(std::move(root)).ok());
   std::string image = BuildSnapshotImage(repo);
@@ -412,7 +409,6 @@ TEST(DurableRepositoryTest, StatsAndWalSyncModes) {
         mode == WalSyncMode::kNone ? "sync_none" : "sync_fdatasync");
     DurableOptions options;
     options.repository.num_shards = 2;
-    options.repository.query_threads = 1;
     options.wal_sync = mode;
     auto durable = DurableRepository::Open(dir, options);
     ASSERT_TRUE(durable.ok()) << durable.status();

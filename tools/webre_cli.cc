@@ -468,7 +468,6 @@ struct RepoHandle {
   webre::Status Open(const CliOptions& options) {
     webre::RepositoryOptions repo_options;
     repo_options.num_shards = options.shards;
-    repo_options.query_threads = options.threads;
     repo_options.freeze_flat = options.flat;
     if (options.data_dir.empty()) {
       plain = std::make_unique<webre::XmlRepository>(repo_options);
@@ -669,12 +668,11 @@ int CmdQueryBench(const CliOptions& options) {
               bench_seconds > 0.0 ? stats.queries / bench_seconds : 0.0,
               total_matches);
   std::printf("plans: %llu index hits, %llu prefix hits, "
-              "%llu fallback walks, %llu flat scans, %llu shard tasks\n",
+              "%llu fallback walks, %llu flat scans\n",
               static_cast<unsigned long long>(stats.index_hits),
               static_cast<unsigned long long>(stats.prefix_hits),
               static_cast<unsigned long long>(stats.fallback_walks),
-              static_cast<unsigned long long>(stats.flat_scans),
-              static_cast<unsigned long long>(stats.shard_tasks));
+              static_cast<unsigned long long>(stats.flat_scans));
   if (sinks.metrics != nullptr) {
     sinks.metrics->MergeQueryStats(stats);
   }
