@@ -18,8 +18,8 @@
 //               [val~...] predicates (every query shape);
 //   predicate — predicate-heavy, low-selectivity needles (one- and
 //               two-byte needles over //* and named paths), the
-//               worst case for per-occurrence matching; the //*
-//               queries take the full-cover pool sweep.
+//               worst case for per-occurrence matching and the best
+//               case for the SIMD column sweep.
 //
 // Before timing, the predicate workloads are re-evaluated once at every
 // SIMD level the machine supports (scalar/SSE2/AVX2) and the match
@@ -281,10 +281,6 @@ struct WorkloadResult {
   double seconds = 0;
   size_t queries = 0;
   size_t matches = 0;
-  /// Per query of the workload: the fastest of its `reps` runs, in
-  /// microseconds — the per-query figure least disturbed by a shared
-  /// host.
-  std::vector<double> min_us;
 
   double qps() const { return seconds > 0 ? queries / seconds : 0; }
 };
@@ -296,14 +292,10 @@ WorkloadResult RunWorkload(const Repo& repo,
   // One untimed pass warms caches.
   for (const webre::PathQuery& query : queries) (void)repo.Query(query);
   WorkloadResult result;
-  result.min_us.assign(queries.size(), 1e300);
   const double begin = Now();
   for (size_t rep = 0; rep < reps; ++rep) {
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const double query_begin = Now();
-      result.matches += repo.Query(queries[q]).size();
-      result.min_us[q] =
-          std::min(result.min_us[q], (Now() - query_begin) * 1e6);
+    for (const webre::PathQuery& query : queries) {
+      result.matches += repo.Query(query).size();
       ++result.queries;
     }
   }
@@ -320,30 +312,6 @@ std::vector<webre::PathQuery> ParseAll(
   return queries;
 }
 
-// `"key": [a, b, …]` with one entry per query of the workload.
-void PrintMinUs(const char* key, const std::vector<double>& min_us) {
-  std::printf("      \"%s\": [", key);
-  for (size_t i = 0; i < min_us.size(); ++i) {
-    std::printf("%s%.1f", i > 0 ? ", " : "", min_us[i]);
-  }
-  std::printf("],\n");
-}
-
-// `"key": ["text", …]`, the query texts the *_min_us arrays follow.
-void PrintTexts(const char* key, const std::vector<webre::PathQuery>& queries,
-                bool trailing_comma) {
-  std::printf("    \"%s\": [", key);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    std::string text;
-    for (char c : queries[i].ToString()) {
-      if (c == '"' || c == '\\') text.push_back('\\');
-      text.push_back(c);
-    }
-    std::printf("%s\"%s\"", i > 0 ? ", " : "", text.c_str());
-  }
-  std::printf("]%s\n", trailing_comma ? "," : "");
-}
-
 void PrintArm(const char* name, size_t docs, size_t shards,
               const WorkloadResult& simple, const WorkloadResult& mixed,
               const WorkloadResult& predicate, bool trailing_comma) {
@@ -357,14 +325,11 @@ void PrintArm(const char* name, size_t docs, size_t shards,
       "      \"mixed_seconds\": %.4f,\n"
       "      \"mixed_qps\": %.1f,\n"
       "      \"predicate_seconds\": %.4f,\n"
-      "      \"predicate_qps\": %.1f,\n",
-      name, name, docs, shards, simple.seconds, simple.qps(), mixed.seconds,
-      mixed.qps(), predicate.seconds, predicate.qps());
-  PrintMinUs("mixed_min_us", mixed.min_us);
-  PrintMinUs("predicate_min_us", predicate.min_us);
-  std::printf(
+      "      \"predicate_qps\": %.1f,\n"
       "      \"matches\": %zu\n"
       "    }%s\n",
+      name, name, docs, shards, simple.seconds, simple.qps(), mixed.seconds,
+      mixed.qps(), predicate.seconds, predicate.qps(),
       simple.matches + mixed.matches + predicate.matches,
       trailing_comma ? "," : "");
 }
@@ -382,7 +347,7 @@ int main(int argc, char** argv) {
       "/resume/EXPERIENCE/JOBTITLE/COMPANY",
   });
   // Descendants, wildcards, predicates: every query.plan.* shape
-  // (summary, sweep, seeded) and the full-cover seed occur.
+  // (summary, sweep, seeded) occurs.
   const std::vector<webre::PathQuery> mixed = ParseAll({
       "/resume/EDUCATION/DATE",
       "//DATE",
@@ -394,8 +359,8 @@ int main(int argc, char** argv) {
   });
   // Predicate-heavy, low-selectivity needles: one- and two-byte needles
   // reject almost no candidate by length and match large fractions of
-  // the corpus, so nearly all evaluation time is substring matching
-  // over value columns and, for //*, document pools.
+  // the corpus, so nearly all evaluation time is substring matching —
+  // the workload the SIMD column sweep exists for.
   const std::vector<webre::PathQuery> predicate = ParseAll({
       "//*[val~\"e\"]",
       "//*[val~\"a\"]",
@@ -497,13 +462,8 @@ int main(int argc, char** argv) {
       "    \"distinct_paths\": %zu,\n"
       "    \"reps\": %zu\n"
       "  },\n"
-      "  \"queries\": {\n",
+      "  \"arms\": {\n",
       flags.docs, stats.elements, stats.distinct_paths, flags.reps);
-  PrintTexts("mixed", mixed, true);
-  PrintTexts("predicate", predicate, false);
-  std::printf(
-      "  },\n"
-      "  \"arms\": {\n");
   PrintArm("before", flags.docs, 1, before_simple, before_mixed,
            before_predicate, true);
   PrintArm("after", flags.docs, after.num_shards(), after_simple,

@@ -360,7 +360,7 @@ void PathIndex::AddDocument(const LocalDocumentPaths& local, DocId doc,
     const size_t offset = static_cast<size_t>(at - entry.occurrences.begin());
     const size_t n = path.occurrences.size();
     entry.occurrences.insert(at, n, PathOccurrence{});
-    const uint32_t start = entry.column_off[offset];
+    const uint64_t start = entry.column_off[offset];
     entry.column_off.insert(entry.column_off.begin() + offset + 1, n, 0);
     values.clear();
     for (size_t k = 0; k < n; ++k) {
@@ -368,14 +368,12 @@ void PathIndex::AddDocument(const LocalDocumentPaths& local, DocId doc,
                                path.occurrences[k].second, flat};
       entry.occurrences[offset + k] = occ;
       AppendLoweredValue(occ, values);
-      entry.column_off[offset + 1 + k] =
-          start + static_cast<uint32_t>(values.size());
+      entry.column_off[offset + 1 + k] = start + values.size();
     }
     entry.column.insert(start, values);
     // A mid-run splice shifts every later value.
-    const uint32_t shift = static_cast<uint32_t>(values.size());
     for (size_t k = offset + n + 1; k < entry.column_off.size(); ++k) {
-      entry.column_off[k] += shift;
+      entry.column_off[k] += values.size();
     }
   }
 }
@@ -410,14 +408,11 @@ Status PathIndex::LoadEntry(uint32_t parent, NameId name,
     }
   }
   // The value column is sized exactly: one pass measures, the second
-  // fills. Its offsets are 32-bit.
+  // fills.
   size_t bytes = 0;
   for (const PathOccurrence& occ : occurrences) {
     bytes += occ.flat != nullptr ? occ.flat->val(occ.pos).size()
                                  : occ.node->val().size();
-  }
-  if (bytes > UINT32_MAX) {
-    return Status::InvalidArgument("path index load: value column over 4 GiB");
   }
   const uint32_t expected = static_cast<uint32_t>(entries_.size());
   if (Resolve(parent, name) != expected) {
@@ -432,7 +427,7 @@ Status PathIndex::LoadEntry(uint32_t parent, NameId name,
   entry.column_off.reserve(entry.occurrences.size() + 1);
   for (const PathOccurrence& occ : entry.occurrences) {
     AppendLoweredValue(occ, entry.column);
-    entry.column_off.push_back(static_cast<uint32_t>(entry.column.size()));
+    entry.column_off.push_back(entry.column.size());
   }
   return Status::Ok();
 }

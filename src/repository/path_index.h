@@ -105,11 +105,12 @@ class PathIndex {
     /// The path's value column: the ASCII-lowered `val`s of
     /// `occurrences`, concatenated in occurrence order. Derived data —
     /// rebuilt from the documents at AddDocument/LoadEntry, never
-    /// persisted. A column holds at most 4 GiB (32-bit offsets).
+    /// persisted.
     std::string column;
     /// occurrences.size() + 1 offsets into `column`: occurrence i's
-    /// value is [column_off[i], column_off[i + 1]).
-    std::vector<uint32_t> column_off{0};
+    /// value is [column_off[i], column_off[i + 1]). 64-bit, so no
+    /// column size a document set can reach wraps them.
+    std::vector<uint64_t> column_off{0};
   };
 
   PathIndex() = default;

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <mutex>
+#include <span>
 #include <type_traits>
 
-#include "repository/predicate.h"
 #include "schema/path_extractor.h"
 #include "util/simd_scan.h"
 #include "util/strings.h"
@@ -136,45 +137,118 @@ std::vector<uint32_t> MatchSummaryPaths(const PathIndex& index,
   return cur;
 }
 
-/// Orders `hits` — a concatenation of (doc, pos)-sorted runs — by
-/// (doc, pos) without a comparison sort over all of them: document ids
-/// are dense, so a stable counting pass buckets the hits by document,
-/// leaving only each document's own hits to order by pos. Hits spread
-/// thinly over a wide id range (where the bucket array would dwarf the
-/// hits) are few enough to sort directly.
-void OrderByDocPos(std::vector<QueryMatch>& hits) {
-  auto less = [](const QueryMatch& a, const QueryMatch& b) {
-    return a.doc != b.doc ? a.doc < b.doc : a.pos < b.pos;
-  };
-  DocId lo = hits.front().doc;
-  DocId hi = lo;
-  for (const QueryMatch& m : hits) {
-    lo = std::min(lo, m.doc);
-    hi = std::max(hi, m.doc);
+/// A caller-facing match from an already-materialized one (the value
+/// column seeds), so MergeDocPosRuns serves both run types.
+const QueryMatch& MatchFromOccurrence(const QueryMatch& match) {
+  return match;
+}
+
+/// Merges `runs` — each (doc, pos)-sorted, no two sharing a (doc, pos)
+/// (an element has exactly one label path) — into one (doc, pos)-ordered
+/// answer. T is PathOccurrence (summary occurrence runs) or QueryMatch
+/// (value-column seeds); the two share a layout.
+template <typename T>
+std::vector<QueryMatch> MergeDocPosRuns(
+    const std::vector<std::span<const T>>& runs) {
+  std::vector<QueryMatch> out;
+  size_t total = 0;
+  for (std::span<const T> run : runs) total += run.size();
+
+  if (runs.size() == 1) {
+    // The hot case (every exact-path query): the run IS the answer, and
+    // the structs are layout-identical (static_asserts at the top of
+    // this file), so emit is one block copy — no per-match capacity
+    // check or call.
+    out.resize(total);
+    if (total > 0) {
+      std::memcpy(static_cast<void*>(out.data()),
+                  static_cast<const void*>(runs[0].data()),
+                  total * sizeof(QueryMatch));
+    }
+    return out;
   }
-  if (hi - lo > 8 * hits.size()) {
-    std::sort(hits.begin(), hits.end(), less);
-    return;
+
+  out.reserve(total);
+  if (runs.size() == 2) {
+    // Two runs (the common //LABEL shape: one path per parent
+    // context): a classic two-pointer merge, one compare per emitted
+    // match instead of the generic min-scan's per-run loop.
+    const std::span<const T> a = runs[0];
+    const std::span<const T> b = runs[1];
+    size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+      const bool take_a =
+          a[i].doc < b[j].doc || (a[i].doc == b[j].doc && a[i].pos < b[j].pos);
+      out.push_back(MatchFromOccurrence(take_a ? a[i] : b[j]));
+      if (take_a) {
+        ++i;
+      } else {
+        ++j;
+      }
+    }
+    for (; i < a.size(); ++i) out.push_back(MatchFromOccurrence(a[i]));
+    for (; j < b.size(); ++j) out.push_back(MatchFromOccurrence(b[j]));
+    return out;
+  }
+
+  if (runs.size() <= 8) {
+    // Few runs: a linear min-scan over the run heads.
+    std::vector<size_t> cursor(runs.size(), 0);
+    for (size_t emitted = 0; emitted < total; ++emitted) {
+      size_t best = runs.size();
+      for (size_t r = 0; r < runs.size(); ++r) {
+        if (cursor[r] >= runs[r].size()) continue;
+        if (best == runs.size()) {
+          best = r;
+          continue;
+        }
+        const T& a = runs[r][cursor[r]];
+        const T& b = runs[best][cursor[best]];
+        if (a.doc < b.doc || (a.doc == b.doc && a.pos < b.pos)) best = r;
+      }
+      out.push_back(MatchFromOccurrence(runs[best][cursor[best]++]));
+    }
+    return out;
+  }
+
+  // Many runs (a //* or wildcard-heavy pattern): no comparison sort over
+  // all of them. Document ids are dense, so a stable counting pass
+  // buckets the matches by document, leaving only each document's own
+  // matches to order by pos.
+  if (total == 0) return out;
+  DocId lo = std::numeric_limits<DocId>::max();
+  DocId hi = 0;
+  for (std::span<const T> run : runs) {
+    if (run.empty()) continue;
+    lo = std::min(lo, run.front().doc);
+    hi = std::max(hi, run.back().doc);
   }
   // end[d] ends up one past document lo + d's bucket.
-  std::vector<uint32_t> end(hi - lo + 1, 0);
-  for (const QueryMatch& m : hits) ++end[m.doc - lo];
-  uint32_t total = 0;
-  for (uint32_t& e : end) {
-    total += e;
-    e = total - e;  // bucket start, advanced to its end by the scatter
+  std::vector<size_t> end(size_t{hi} - lo + 1, 0);
+  for (std::span<const T> run : runs) {
+    for (const T& m : run) ++end[m.doc - lo];
   }
-  std::vector<QueryMatch> sorted(hits.size());
-  for (const QueryMatch& m : hits) sorted[end[m.doc - lo]++] = m;
-  uint32_t begin = 0;
-  for (uint32_t e : end) {
+  size_t filled = 0;
+  for (size_t& e : end) {
+    filled += e;
+    e = filled - e;  // bucket start, advanced to its end by the scatter
+  }
+  out.resize(total);
+  for (std::span<const T> run : runs) {
+    for (const T& m : run) out[end[m.doc - lo]++] = MatchFromOccurrence(m);
+  }
+  auto less = [](const QueryMatch& a, const QueryMatch& b) {
+    return a.pos < b.pos;
+  };
+  size_t begin = 0;
+  for (size_t e : end) {
     if (e - begin > 1 &&
-        !std::is_sorted(sorted.begin() + begin, sorted.begin() + e, less)) {
-      std::sort(sorted.begin() + begin, sorted.begin() + e, less);
+        !std::is_sorted(out.begin() + begin, out.begin() + e, less)) {
+      std::sort(out.begin() + begin, out.begin() + e, less);
     }
     begin = e;
   }
-  hits = std::move(sorted);
+  return out;
 }
 
 }  // namespace
@@ -452,92 +526,12 @@ std::vector<QueryMatch> XmlRepository::Query(const PathQuery& query) const {
 
 std::vector<QueryMatch> XmlRepository::QuerySummaryRuns(
     const PathQuery& query) const {
-  std::vector<QueryMatch> out;
   std::shared_lock<std::shared_mutex> lock(summary_mutex_);
-  const std::vector<uint32_t> ids =
-      MatchSummaryPaths(summary_, query, query.steps().size());
-  if (ids.empty()) return out;
-
-  if (ids.size() == 1) {
-    // The hot case (every exact-path query): the occurrence run IS the
-    // answer, and the structs are layout-identical (static_asserts at
-    // the top of this file), so emit is one block copy — no per-match
-    // capacity check or call.
-    const std::vector<PathOccurrence>& occurrences =
-        summary_.entry(ids[0]).occurrences;
-    out.resize(occurrences.size());
-    if (!occurrences.empty()) {
-      std::memcpy(static_cast<void*>(out.data()),
-                  static_cast<const void*>(occurrences.data()),
-                  occurrences.size() * sizeof(QueryMatch));
-    }
-    return out;
+  std::vector<std::span<const PathOccurrence>> runs;
+  for (uint32_t id : MatchSummaryPaths(summary_, query, query.steps().size())) {
+    runs.emplace_back(summary_.entry(id).occurrences);
   }
-
-  size_t total = 0;
-  for (uint32_t id : ids) total += summary_.entry(id).occurrences.size();
-
-  if (ids.size() == 2) {
-    // Two runs (the common //LABEL shape: one path per parent
-    // context): a classic two-pointer merge, one compare per emitted
-    // match instead of the generic min-scan's per-run loop.
-    const std::vector<PathOccurrence>& a = summary_.entry(ids[0]).occurrences;
-    const std::vector<PathOccurrence>& b = summary_.entry(ids[1]).occurrences;
-    out.reserve(total);
-    size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-      const bool take_a =
-          a[i].doc < b[j].doc || (a[i].doc == b[j].doc && a[i].pos < b[j].pos);
-      out.push_back(MatchFromOccurrence(take_a ? a[i] : b[j]));
-      if (take_a) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    for (; i < a.size(); ++i) out.push_back(MatchFromOccurrence(a[i]));
-    for (; j < b.size(); ++j) out.push_back(MatchFromOccurrence(b[j]));
-    return out;
-  }
-
-  if (ids.size() <= 8) {
-    // Few runs, nothing filtered: merge the (doc, pos)-sorted
-    // occurrence lists directly — linear min-scan beats sorting the
-    // concatenation.
-    std::vector<const std::vector<PathOccurrence>*> runs;
-    std::vector<size_t> cursor(ids.size(), 0);
-    runs.reserve(ids.size());
-    for (uint32_t id : ids) runs.push_back(&summary_.entry(id).occurrences);
-    out.reserve(total);
-    for (size_t emitted = 0; emitted < total; ++emitted) {
-      size_t best = ids.size();
-      for (size_t r = 0; r < runs.size(); ++r) {
-        if (cursor[r] >= runs[r]->size()) continue;
-        if (best == ids.size()) {
-          best = r;
-          continue;
-        }
-        const PathOccurrence& a = (*runs[r])[cursor[r]];
-        const PathOccurrence& b = (*runs[best])[cursor[best]];
-        if (a.doc < b.doc || (a.doc == b.doc && a.pos < b.pos)) best = r;
-      }
-      const PathOccurrence& occ = (*runs[best])[cursor[best]++];
-      out.push_back(MatchFromOccurrence(occ));
-    }
-    return out;
-  }
-
-  out.reserve(total);
-  for (uint32_t id : ids) {
-    for (const PathOccurrence& occ : summary_.entry(id).occurrences) {
-      out.push_back(MatchFromOccurrence(occ));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const QueryMatch& a, const QueryMatch& b) {
-              return a.doc != b.doc ? a.doc < b.doc : a.pos < b.pos;
-            });
-  return out;
+  return MergeDocPosRuns(runs);
 }
 
 std::vector<QueryMatch> XmlRepository::SeedFromColumns(const PathQuery& query,
@@ -551,75 +545,7 @@ std::vector<QueryMatch> XmlRepository::SeedFromColumns(const PathQuery& query,
 
   // Everything here runs under the summary lock without touching any
   // shard (lock order: shard before summary, never the reverse).
-  std::vector<QueryMatch> out;
   std::shared_lock<std::shared_mutex> lock(summary_mutex_);
-  const std::vector<uint32_t> ids = MatchSummaryPaths(summary_, query, k + 1);
-  if (ids.empty()) return out;
-
-  if (freeze_flat_ && ids.size() == summary_.path_count()) {
-    // Full cover: the pattern matches EVERY summary path (the
-    // repository is add-only, so every trie path has occurrences), so
-    // every element is a candidate and each document's pre-lowered pool
-    // already is the concatenation of its columns, in pos order. Each
-    // document is visited once through the root-path occurrence runs
-    // (one root occurrence per admitted document) and its pool swept
-    // into an element bitset whose set bits are the seeds, already in
-    // (doc, pos) order — cheaper than bucketing the columns' hits.
-    PredicateScratch scratch;
-    std::vector<const std::vector<PathOccurrence>*> root_runs;
-    for (uint32_t id : summary_.roots()) {
-      root_runs.push_back(&summary_.entry(id).occurrences);
-    }
-    // Root runs from distinct root paths are doc-disjoint (a document
-    // has one root element), so the min-doc merge visits each doc once;
-    // with a single root label it degenerates to a linear walk.
-    std::vector<size_t> cursor(root_runs.size(), 0);
-    while (true) {
-      size_t best = root_runs.size();
-      for (size_t r = 0; r < root_runs.size(); ++r) {
-        if (cursor[r] >= root_runs[r]->size()) continue;
-        if (best == root_runs.size() ||
-            (*root_runs[r])[cursor[r]].doc <
-                (*root_runs[best])[cursor[best]].doc) {
-          best = r;
-        }
-      }
-      if (best == root_runs.size()) break;
-      const std::vector<PathOccurrence>& brun = *root_runs[best];
-      const PathOccurrence& root = brun[cursor[best]++];
-      // Two-tier lookahead down the winning run (runs from one root
-      // label are the common case, one occurrence per doc): the FlatDoc
-      // struct several docs out, its arrays two docs out — the struct
-      // must arrive before the array addresses can even be computed,
-      // and per-doc work is shorter than one DRAM round trip.
-      if (cursor[best] + 8 < brun.size()) {
-        __builtin_prefetch(brun[cursor[best] + 8].flat);
-      }
-      if (cursor[best] + 1 < brun.size()) {
-        const FlatDoc* ahead = brun[cursor[best] + 1].flat;
-        __builtin_prefetch(ahead->text_offsets());
-        __builtin_prefetch(ahead->lowered_pool().data());
-      } else if (cursor[best] < brun.size()) {
-        const FlatDoc* ahead = brun[cursor[best]].flat;
-        __builtin_prefetch(ahead->text_offsets());
-        __builtin_prefetch(ahead->lowered_pool().data());
-      }
-      const FlatDoc* flat = root.flat;
-      const uint64_t* bits = SweepValBitset(*flat, lowered, scratch);
-      const size_t words = size_t{flat->element_count()} / 64 + 1;
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t word = bits[w];
-        while (word != 0) {
-          const uint32_t e =
-              static_cast<uint32_t>(w * 64 + __builtin_ctzll(word));
-          word &= word - 1;
-          out.push_back(QueryMatch{root.doc, e, nullptr, flat});
-        }
-      }
-    }
-    predicate_bytes_.Add(scratch.bytes_scanned);
-    return out;
-  }
 
   // One scanner run per matched path's column. A hit at column offset
   // h lies in the value v with off[v] <= h < off[v + 1] (values are
@@ -628,29 +554,36 @@ std::vector<QueryMatch> XmlRepository::SeedFromColumns(const PathQuery& query,
   // only in the concatenation. Either way no later hit starting in v can
   // matter (v matched, or every later start in v straddles too), so the
   // scan resumes at the next value: the loop is bounded by the values.
-  size_t runs_with_hits = 0;
+  std::vector<QueryMatch> hits;
+  std::vector<size_t> run_end;  // one past each path's hits in `hits`
   uint64_t bytes = 0;
-  for (uint32_t id : ids) {
+  for (uint32_t id : MatchSummaryPaths(summary_, query, k + 1)) {
     const PathIndex::Entry& entry = summary_.entry(id);
     const std::string_view column = entry.column;
-    const uint32_t* off = entry.column_off.data();
+    const uint64_t* off = entry.column_off.data();
     bytes += column.size();
-    const size_t before = out.size();
     size_t v = 0;
     for (size_t h = FindLowered(column, lowered); h != std::string_view::npos;
          h = FindLowered(column, lowered, off[v + 1])) {
       while (off[v + 1] <= h) ++v;
       if (h + m <= off[v + 1]) {
-        out.push_back(MatchFromOccurrence(entry.occurrences[v]));
+        hits.push_back(MatchFromOccurrence(entry.occurrences[v]));
       }
     }
-    if (out.size() > before) ++runs_with_hits;
+    if (hits.size() > (run_end.empty() ? 0 : run_end.back())) {
+      run_end.push_back(hits.size());
+    }
   }
   predicate_bytes_.Add(bytes);
-  // Each run is (doc, pos)-sorted, and distinct paths never share a
-  // (doc, pos) — an element has exactly one label path.
-  if (runs_with_hits > 1) OrderByDocPos(out);
-  return out;
+  // One path's hits are the answer as they stand.
+  if (run_end.size() <= 1) return hits;
+  std::vector<std::span<const QueryMatch>> runs;
+  size_t begin = 0;
+  for (size_t end : run_end) {
+    runs.emplace_back(hits.data() + begin, end - begin);
+    begin = end;
+  }
+  return MergeDocPosRuns(runs);
 }
 
 std::vector<QueryMatch> XmlRepository::EvaluateSuffix(

@@ -221,7 +221,7 @@ TEST(QueryColumn, FullCoverAndLeadingPredicates) {
   auto root_with_val = Doc({"b"});
   root_with_val->set_val("abc");
   repos.Add(std::move(root_with_val));
-  // //*[val~…] matches every summary path: the full-cover seed.
+  // //*[val~…] matches every summary path and sweeps every column.
   EXPECT_FALSE(repos.Check("//*[val~\"bc\"]").empty());
   EXPECT_FALSE(repos.Check("//*[val~\"b\"]/B").empty());
   // A predicate on step 0, under // and under *.
@@ -229,6 +229,34 @@ TEST(QueryColumn, FullCoverAndLeadingPredicates) {
   EXPECT_EQ(repos.Check("/*[val~\"ab\"]"), (Canonical{{2, 0}}));
   EXPECT_FALSE(repos.Check("/*[val~\"c\"]/A").empty());
   EXPECT_TRUE(repos.Check("/*[val~\"zz\"]//B").empty());
+}
+
+// One matched path, two, three to eight, and more than eight take
+// different merge shapes; labels interleave within each document, and
+// every other document holds no hit, so each shape must order matches
+// from many runs by (doc, pos) across gaps in the document ids.
+TEST(QueryColumn, SeedsFromAnyNumberOfPathsMergeInOrder) {
+  static const char* const kLabels[] = {"L0", "L1", "L2", "L3",
+                                        "L4", "L5", "L6", "L7",
+                                        "L8", "L9", "L10", "L11"};
+  for (const size_t labels : {size_t{1}, size_t{2}, size_t{5}, size_t{12}}) {
+    ColumnRepos repos;
+    Rng rng(labels);
+    for (size_t d = 0; d < 8; ++d) {
+      auto root = Node::MakeElement("r");
+      for (size_t c = 0; c < 30; ++c) {
+        Node* child = root->AddElement(kLabels[rng.NextBelow(labels)]);
+        child->set_val(d % 2 == 0 && rng.NextBool(0.5) ? "xy" : "y");
+        if (rng.NextBool(0.3)) child->AddElement("M")->set_val("x");
+      }
+      repos.Add(std::move(root));
+    }
+    EXPECT_FALSE(repos.Check("/r/*[val~\"x\"]").empty()) << labels;
+    EXPECT_FALSE(repos.Check("/r/*").empty()) << labels;
+    EXPECT_FALSE(repos.Check("//*[val~\"x\"]").empty()) << labels;
+    EXPECT_FALSE(repos.Check("//*").empty()) << labels;
+    EXPECT_FALSE(repos.Check("/r/*[val~\"y\"]/M").empty()) << labels;
+  }
 }
 
 TEST(QueryColumn, SecondPredicateGoesThroughEvaluateFrom) {

@@ -46,7 +46,7 @@ INSTANTIATE_TEST_SUITE_P(StorageModes, RepositoryConcurrencyTest,
                          });
 
 // Readers hammer every query shape (no predicate, final-step predicate,
-// seeded suffix, full cover) while writers keep admitting documents —
+// seeded suffix, every column) while writers keep admitting documents —
 // and so splicing occurrences and values into the summary's columns,
 // sometimes out of id order. A result must always be internally
 // consistent: sorted by document id with every match carrying a valid
@@ -90,7 +90,7 @@ TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
       "/resume/EDUCATION[val~\"x\"]/DATE",   // seeded, nothing matches
       "/resume/EDUCATION/DATE[val~\"19\"]",  // final-step predicate
       "//EDUCATION/DATE[val~\"199\"]",       // under a // prefix
-      "//*[val~\"c\"]",                      // full cover
+      "//*[val~\"c\"]",                      // every column
       "/resume/*/LANGUAGE[val~\"C+\"]",      // under a * step
       "//*",                                 // wildcard, no predicate
   };
