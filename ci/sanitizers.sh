@@ -4,11 +4,16 @@
 # ASan+UBSan (fault-isolation paths must be free of memory errors and
 # UB, including on the pathological/fuzz inputs).
 #
-# Usage: ci/sanitizers.sh [tsan|asan|serve-tsan|all]   (default: all)
+# Usage: ci/sanitizers.sh [tsan|asan|serve-tsan|asan-convert|all]
+#        (default: all)
 #
 # serve-tsan runs only the `serve`-labeled tests (the multi-reactor
 # server, its rings and the striped cache) under ThreadSanitizer — the
-# fast targeted sweep for serving-layer changes.
+# fast targeted sweep for serving-layer changes. asan-convert runs only
+# the `convert`-labeled tests (golden, converter, text-rules
+# differential, pathological input, resource limits, consolidation and
+# crawler) under ASan+UBSan — the targeted sweep for changes to the
+# conversion path, which splices and re-homes nodes and views text.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,7 +35,7 @@ run_config() {
   # pinned to the scalar kernel: sanitizers don't see through SIMD
   # intrinsics uniformly, and the scalar path is the differential
   # reference every vector kernel is checked against. Skipped for
-  # targeted sweeps of other labels (serve-tsan).
+  # targeted sweeps of other labels (serve-tsan, asan-convert).
   if [ -z "${label}" ] || [ "${label}" = query ]; then
     echo "=== ${name}: WEBRE_SIMD=scalar (label query) ==="
     WEBRE_SIMD=scalar \
@@ -43,12 +48,13 @@ case "${mode}" in
   tsan) run_config tsan thread ;;
   asan) run_config asan address+undefined ;;
   serve-tsan) run_config tsan thread serve ;;
+  asan-convert) run_config asan address+undefined convert ;;
   all)
     run_config tsan thread
     run_config asan address+undefined
     ;;
   *)
-    echo "usage: $0 [tsan|asan|serve-tsan|all]" >&2
+    echo "usage: $0 [tsan|asan|serve-tsan|asan-convert|all]" >&2
     exit 2
     ;;
 esac

@@ -101,18 +101,18 @@ void FindShapeMatches(std::string_view text, std::string_view shape,
 }
 
 // Resolves overlapping candidates: prefer longer matches, then earlier,
-// then lower concept index; returns survivors sorted by position. Shared
-// by the automaton-backed and naive paths so both produce identical
-// results by construction.
-std::vector<InstanceMatch> SelectNonOverlapping(
-    std::vector<InstanceMatch>& candidates) {
+// then lower concept index; writes survivors sorted by position to
+// `selected`. Shared by the automaton-backed and naive paths so both
+// produce identical results by construction.
+void SelectNonOverlapping(std::vector<InstanceMatch>& candidates,
+                          std::vector<InstanceMatch>& selected) {
   std::sort(candidates.begin(), candidates.end(),
             [](const InstanceMatch& a, const InstanceMatch& b) {
               if (a.length != b.length) return a.length > b.length;
               if (a.position != b.position) return a.position < b.position;
               return a.concept_index < b.concept_index;
             });
-  std::vector<InstanceMatch> selected;
+  selected.clear();
   for (const InstanceMatch& m : candidates) {
     bool overlaps = false;
     for (const InstanceMatch& s : selected) {
@@ -128,16 +128,24 @@ std::vector<InstanceMatch> SelectNonOverlapping(
             [](const InstanceMatch& a, const InstanceMatch& b) {
               return a.position < b.position;
             });
-  return selected;
 }
 
 }  // namespace
 
 std::vector<InstanceMatch> ConceptSet::MatchAll(std::string_view text) const {
-  if (matcher_ == nullptr) return {};
-  std::vector<InstanceMatch> candidates;
-  matcher_->CollectCandidates(text, candidates);
-  return SelectNonOverlapping(candidates);
+  MatchScratch scratch;
+  std::vector<InstanceMatch> matches;
+  MatchAllInto(text, scratch, matches);
+  return matches;
+}
+
+void ConceptSet::MatchAllInto(std::string_view text, MatchScratch& scratch,
+                              std::vector<InstanceMatch>& out) const {
+  out.clear();
+  if (matcher_ == nullptr) return;
+  scratch.candidates.clear();
+  matcher_->CollectCandidates(text, scratch.candidates);
+  SelectNonOverlapping(scratch.candidates, out);
 }
 
 std::vector<InstanceMatch> ConceptSet::MatchAllNaive(
@@ -155,7 +163,9 @@ std::vector<InstanceMatch> ConceptSet::MatchAllNaive(
       }
     }
   }
-  return SelectNonOverlapping(candidates);
+  std::vector<InstanceMatch> selected;
+  SelectNonOverlapping(candidates, selected);
+  return selected;
 }
 
 InstanceMatch ConceptSet::MatchFirst(std::string_view text) const {

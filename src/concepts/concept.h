@@ -54,6 +54,13 @@ struct InstanceMatch {
   bool via_bayes = false;
 };
 
+/// Reusable candidate buffer for ConceptSet::MatchAllInto, so a caller
+/// matching every token of a document allocates once per document
+/// instead of once per token.
+struct MatchScratch {
+  std::vector<InstanceMatch> candidates;
+};
+
 /// The set `Con` of topic concepts provided by the user (§2.2).
 ///
 /// Mutation (Add) is setup-time only; every const member is safe to call
@@ -97,6 +104,11 @@ class ConceptSet {
   /// Backed by the Aho–Corasick InstanceMatcher: one O(|text|) automaton
   /// sweep instead of a rescan per instance.
   std::vector<InstanceMatch> MatchAll(std::string_view text) const;
+
+  /// MatchAll into caller-owned buffers: `out` is overwritten with the
+  /// same matches MatchAll returns, and `scratch` holds the candidates.
+  void MatchAllInto(std::string_view text, MatchScratch& scratch,
+                    std::vector<InstanceMatch>& out) const;
 
   /// Reference implementation of MatchAll: the original per-instance
   /// O(|text| × Σ|instance|) scan. Kept for differential testing and the

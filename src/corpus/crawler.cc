@@ -4,7 +4,6 @@
 #include <set>
 
 #include "html/parser.h"
-#include "restructure/tokenize_rule.h"
 #include "xml/node.h"
 
 namespace webre {
@@ -14,27 +13,24 @@ TopicCrawler::TopicCrawler(const ConceptSet* concepts, CrawlerOptions options)
 
 double TopicCrawler::ScorePage(std::string_view html) const {
   std::unique_ptr<Node> tree = ParseHtml(html);
-  // Collect the text tokens exactly the way document conversion would.
-  ApplyTokenizationRule(tree.get());
 
+  // Score the text tokens exactly as document conversion splits them.
   size_t tokens = 0;
   size_t hits = 0;
   std::set<std::string_view> title_concepts_seen;
   tree->PreOrder([&](const Node& node) {
-    if (!node.is_element() || node.name() != kTokenTag) return;
-    ++tokens;
-    std::string text;
-    for (size_t i = 0; i < node.child_count(); ++i) {
-      if (node.child(i)->is_text()) text += node.child(i)->text();
-    }
-    InstanceMatch match = concepts_->MatchFirst(text);
-    if (match.length == 0) return;
-    ++hits;
-    for (const std::string& title : options_.title_concepts) {
-      if (match.concept_name == title) {
-        title_concepts_seen.insert(match.concept_name);
+    if (!node.is_text()) return;
+    splitter_.ForEachToken(node.text(), [&](std::string_view token) {
+      ++tokens;
+      InstanceMatch match = concepts_->MatchFirst(token);
+      if (match.length == 0) return;
+      ++hits;
+      for (const std::string& title : options_.title_concepts) {
+        if (match.concept_name == title) {
+          title_concepts_seen.insert(match.concept_name);
+        }
       }
-    }
+    });
   });
 
   if (tokens == 0) return 0.0;

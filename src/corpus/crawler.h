@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "concepts/concept.h"
+#include "restructure/text_rules.h"
 #include "util/rng.h"
 
 namespace webre {
@@ -63,6 +64,7 @@ class TopicCrawler {
  private:
   const ConceptSet* concepts_;
   CrawlerOptions options_;
+  TextSplitter splitter_{TokenizeOptions{}.delimiters};
 };
 
 /// Generates an off-topic page (article/blog-style prose) for crawler

@@ -38,79 +38,72 @@ class Consolidator {
                               node.name_id());
   }
 
+  // Detaches `node`'s children once and adds back, in order, what the
+  // rule keeps of each: concept children as they are, non-concept
+  // children eliminated (EliminateNonConcept).
   void ConsolidateChildren(Node* node) {
-    for (size_t i = 0; i < node->child_count();) {
-      Node* child = node->child(i);
+    if (node->child_count() == 0) return;
+    std::vector<std::unique_ptr<Node>> children = node->RemoveAllChildren();
+    node->ReserveChildren(children.size());
+    for (std::unique_ptr<Node>& child : children) {
       if (child->is_text()) {
         // Defensive: stray text becomes parent val (the text rules
         // normally leave no text nodes behind).
         node->AppendVal(child->text());
-        node->RemoveChild(i);
         continue;
       }
-      ConsolidateChildren(child);
+      ConsolidateChildren(child.get());
       if (IsConceptNode(*child)) {
-        ++i;
-        continue;
+        node->AddChild(std::move(child));
+      } else {
+        EliminateNonConcept(node, std::move(child));
       }
-      i = EliminateNonConcept(node, i);
     }
   }
 
-  // Applies the rule to the non-concept element at `index` under
-  // `parent`; returns the index at which scanning should continue (the
-  // replacement content, if any, still needs no rescan because children
-  // were already consolidated — so we skip past it).
-  size_t EliminateNonConcept(Node* parent, size_t index) {
-    Node* node = parent->child(index);
-
+  // Applies the rule to the non-concept element `node` taken from
+  // `parent`, whose children are already consolidated: whatever replaces
+  // it is appended to `parent`.
+  void EliminateNonConcept(Node* parent, std::unique_ptr<Node> node) {
     if (node->child_count() == 0) {
       parent->AppendVal(node->val());
-      parent->RemoveChild(index);
       ++stats_.nodes_deleted;
-      return index;
+      return;
     }
 
-    if (IsListTag(node->name_id()) || ChildrenShareOneName(*node)) {
+    std::vector<std::unique_ptr<Node>> children = node->RemoveAllChildren();
+    if (IsListTag(node->name_id()) || ChildrenShareOneName(children)) {
       // Push the children up, replacing the node. The node's accumulated
       // text goes to a sole child (it details that child's information,
       // cf. §2.3.1's child-details-parent principle) or, with several
       // children, to the parent.
-      std::vector<std::unique_ptr<Node>> children = node->RemoveAllChildren();
       if (children.size() == 1 && children[0]->is_element()) {
         children[0]->AppendVal(node->val());
       } else {
         parent->AppendVal(node->val());
       }
-      parent->RemoveChild(index);
-      size_t insert_at = index;
-      for (auto& child : children) {
-        parent->InsertChild(insert_at++, std::move(child));
-      }
+      for (auto& child : children) parent->AddChild(std::move(child));
       ++stats_.nodes_pushed_up;
-      return insert_at;
+      return;
     }
 
     // Replace the node by its first concept child; the remaining
-    // children become children of that child.
-    const size_t chosen = ChooseReplacementChild(*node);
-    std::unique_ptr<Node> replacement = node->RemoveChild(chosen);
+    // children become children of that child, in their relative order.
+    const size_t chosen = ChooseReplacementChild(children);
+    std::unique_ptr<Node> replacement = std::move(children[chosen]);
     replacement->AppendVal(node->val());
-    std::vector<std::unique_ptr<Node>> rest = node->RemoveAllChildren();
-    // Children that preceded the chosen one keep their relative order.
-    for (auto& sibling : rest) {
-      replacement->AddChild(std::move(sibling));
+    for (auto& sibling : children) {
+      if (sibling != nullptr) replacement->AddChild(std::move(sibling));
     }
-    parent->ReplaceChild(index, std::move(replacement));
+    parent->AddChild(std::move(replacement));
     ++stats_.nodes_replaced;
-    return index + 1;
   }
 
   // True when all children are elements sharing one name.
-  bool ChildrenShareOneName(const Node& node) const {
+  static bool ChildrenShareOneName(
+      const std::vector<std::unique_ptr<Node>>& children) {
     NameId name = kInvalidNameId;
-    for (size_t i = 0; i < node.child_count(); ++i) {
-      const Node* child = node.child(i);
+    for (const auto& child : children) {
       if (!child->is_element()) return false;
       if (name == kInvalidNameId) {
         name = child->name_id();
@@ -124,17 +117,19 @@ class Consolidator {
   // Index of the first concept child that may become the parent of all
   // its siblings (per the constraint set); falls back to the first
   // concept child, then to 0.
-  size_t ChooseReplacementChild(const Node& node) {
-    size_t first_concept = node.child_count();
-    for (size_t i = 0; i < node.child_count(); ++i) {
-      const Node* candidate = node.child(i);
+  size_t ChooseReplacementChild(
+      const std::vector<std::unique_ptr<Node>>& children) {
+    const size_t count = children.size();
+    size_t first_concept = count;
+    for (size_t i = 0; i < count; ++i) {
+      const Node* candidate = children[i].get();
       if (!IsConceptNode(*candidate)) continue;
-      if (first_concept == node.child_count()) first_concept = i;
+      if (first_concept == count) first_concept = i;
       if (constraints_ == nullptr) return i;
       bool ok = true;
-      for (size_t j = 0; j < node.child_count(); ++j) {
+      for (size_t j = 0; j < count; ++j) {
         if (j == i) continue;
-        const Node* other = node.child(j);
+        const Node* other = children[j].get();
         if (other->is_element() &&
             !constraints_->AncestorAllowed(candidate->name(),
                                            other->name())) {
@@ -145,7 +140,7 @@ class Consolidator {
       if (ok) return i;
       ++stats_.replacements_vetoed;
     }
-    return first_concept < node.child_count() ? first_concept : 0;
+    return first_concept < count ? first_concept : 0;
   }
 
   std::vector<NameId> concept_ids_;

@@ -30,41 +30,6 @@ class SpanScope {
   double begin_s_;
 };
 
-// What the pre-tokenization guard walk learns about the tree.
-struct TextSplitBound {
-  /// Upper bound on the TOKEN nodes the tokenization rule can split one
-  /// text node into: delimiter occurrences + 1.
-  size_t worst_tokens = 0;
-  /// Total nodes visited — the tree size entering tokenization, counted
-  /// as a byproduct so span recording needs no extra walk.
-  size_t node_count = 0;
-};
-
-// Walked iteratively so a hostile tree cannot recurse past the stack
-// before its guard fires.
-TextSplitBound MaxTokensInOneTextNode(const Node& root,
-                                      const std::string& delimiters) {
-  TextSplitBound bound;
-  std::vector<const Node*> pending{&root};
-  while (!pending.empty()) {
-    const Node* node = pending.back();
-    pending.pop_back();
-    ++bound.node_count;
-    if (node->is_text()) {
-      size_t pieces = 1;
-      for (char c : node->text()) {
-        if (delimiters.find(c) != std::string::npos) ++pieces;
-      }
-      if (pieces > bound.worst_tokens) bound.worst_tokens = pieces;
-      continue;
-    }
-    for (size_t i = 0; i < node->child_count(); ++i) {
-      pending.push_back(node->child(i));
-    }
-  }
-  return bound;
-}
-
 }  // namespace
 
 DocumentConverter::DocumentConverter(const ConceptSet* concepts,
@@ -74,7 +39,8 @@ DocumentConverter::DocumentConverter(const ConceptSet* concepts,
     : concepts_(concepts),
       recognizer_(recognizer),
       constraints_(constraints),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      splitter_(options_.tokenize.delimiters) {}
 
 std::unique_ptr<Node> DocumentConverter::Convert(std::string_view html,
                                                  ConvertStats* stats) const {
@@ -86,18 +52,9 @@ std::unique_ptr<Node> DocumentConverter::ConvertTree(
   ConvertStats local;
   ConvertStats* out = stats != nullptr ? stats : &local;
   *out = ConvertStats{};
-
-  Node* root = html_tree.get();
-  if (options_.apply_tidy) TidyHtmlTree(root, options_.tidy);
-
-  out->tokens_created = ApplyTokenizationRule(root, options_.tokenize);
-  out->instance = ApplyConceptInstanceRule(root, *recognizer_, constraints_);
-  if (options_.apply_grouping) out->groups_created = ApplyGroupingRule(root);
-  out->consolidation =
-      ApplyConsolidationRule(root, *concepts_, constraints_);
-
-  root->set_name(options_.root_name);
-  out->concept_nodes = root->SubtreeSize() - 1;
+  ResourceBudget unlimited(ResourceLimits::Unlimited());
+  // Nothing can trip an unlimited budget.
+  (void)RunGuardedRules(html_tree.get(), out, nullptr, unlimited);
   return html_tree;
 }
 
@@ -130,33 +87,35 @@ Status DocumentConverter::RunGuardedRules(Node* root, ConvertStats* out,
   {
     SpanScope span(spans, obs::PipelineStage::kTokenize);
     // Tokenization is the one rule that multiplies nodes, so its blowup
-    // is bounded both per text node and against the document node budget.
-    const TextSplitBound bound =
-        MaxTokensInOneTextNode(*root, options_.tokenize.delimiters);
+    // is bounded both per text node and against the document node budget
+    // before the text pass runs.
+    const TextMeasure measure = MeasureText(*root, splitter_);
     if (spans != nullptr && options_.apply_tidy) {
       spans->push_back(ConvertStageSpan{obs::PipelineStage::kTidy,
                                         tidy_begin, tidy_end, nodes_entering,
-                                        bound.node_count});
+                                        measure.node_count});
     }
-    if (bound.worst_tokens > options_.limits.max_tokens_per_text) {
+    const size_t max_tokens = budget.limits().max_tokens_per_text;
+    if (measure.worst_pieces > max_tokens) {
       return fail("tokenize",
                   Status::ResourceExhausted(
                       "text node would split into " +
-                      std::to_string(bound.worst_tokens) +
+                      std::to_string(measure.worst_pieces) +
                       " tokens, exceeding max_tokens_per_text=" +
-                      std::to_string(options_.limits.max_tokens_per_text)));
+                      std::to_string(max_tokens)));
     }
-    out->tokens_created = ApplyTokenizationRule(root, options_.tokenize);
-    // Each token is a TOKEN element plus its text child.
+    out->tokens_created = measure.tokens;
+    // Charged as the tokenization rule built them: a TOKEN element plus
+    // its text child each, though the text pass builds neither.
     Status charged = budget.ChargeNodes(2 * out->tokens_created);
     if (!charged.ok()) return fail("tokenize", std::move(charged));
-    span.Finish(bound.node_count, out->tokens_created);
+    span.Finish(measure.node_count, out->tokens_created);
   }
 
   {
     SpanScope span(spans, obs::PipelineStage::kInstance);
     out->instance =
-        ApplyConceptInstanceRule(root, *recognizer_, constraints_);
+        ApplyTextRules(root, splitter_, *recognizer_, constraints_);
     span.Finish(out->instance.tokens_total, out->instance.elements_created);
   }
 

@@ -12,9 +12,8 @@
 #include "html/tidy.h"
 #include "obs/stage.h"
 #include "restructure/consolidation_rule.h"
-#include "restructure/instance_rule.h"
 #include "restructure/recognizer.h"
-#include "restructure/tokenize_rule.h"
+#include "restructure/text_rules.h"
 #include "xml/node.h"
 
 namespace webre {
@@ -33,8 +32,8 @@ struct ConvertOptions {
   TidyOptions tidy;
   TokenizeOptions tokenize;
   /// Per-document resource guards, enforced only by TryConvert /
-  /// TryConvertTree (Convert stays lenient and unguarded for callers
-  /// that trust their input).
+  /// TryConvertTree (Convert and ConvertTree run the same rules under
+  /// ResourceLimits::Unlimited() for callers that trust their input).
   ResourceLimits limits;
   /// Record per-stage wall-time spans and item counts into
   /// `ConvertStats::stage_spans` (observability, DESIGN.md §10). Off by
@@ -57,7 +56,9 @@ struct ConvertStageSpan {
   /// instance-in; concept elements for instance-out and grouping; final
   /// tree nodes for consolidate-out. Chosen so every count falls out of
   /// work the stage already does — instrumentation never walks the tree
-  /// again.
+  /// again. The tokenize span times the guard walk that measures the
+  /// tokens; the instance span times the one text pass (ApplyTextRules)
+  /// that splits and recognizes them.
   size_t items_in = 0;
   size_t items_out = 0;
 };
@@ -74,8 +75,8 @@ struct ConvertStats {
   /// `ConvertOptions::record_stage_spans` is set; a failed conversion
   /// carries the stages completed before the failure).
   std::vector<ConvertStageSpan> stage_spans;
-  /// ResourceBudget consumption at completion (guarded entry points
-  /// only; 0 for failed documents — they stopped charging mid-way).
+  /// ResourceBudget consumption at completion (0 for failed documents —
+  /// they stopped charging mid-way).
   size_t budget_steps_used = 0;
   size_t budget_nodes_used = 0;
   size_t budget_entities_used = 0;
@@ -88,9 +89,10 @@ struct ConvertStats {
 };
 
 /// The document conversion process (§2): parses a topic-specific HTML
-/// document and applies, in order, the tokenization rule, the concept
-/// instance rule, the grouping rule and the consolidation rule, yielding
-/// an XML document whose elements carry concept names.
+/// document and applies, in order, the tokenization and concept instance
+/// rules (one text pass, ApplyTextRules), the grouping rule and the
+/// consolidation rule, yielding an XML document whose elements carry
+/// concept names.
 ///
 /// Thread-compatible: Convert is const and the converter holds only
 /// const borrowed state, so one converter may serve concurrent callers.
@@ -108,7 +110,8 @@ class DocumentConverter {
   std::unique_ptr<Node> Convert(std::string_view html,
                                 ConvertStats* stats = nullptr) const;
 
-  /// Converts an already-parsed HTML tree (takes ownership).
+  /// Converts an already-parsed HTML tree (takes ownership). Runs the
+  /// guarded rules under ResourceLimits::Unlimited(), so it never fails.
   std::unique_ptr<Node> ConvertTree(std::unique_ptr<Node> html_tree,
                                     ConvertStats* stats = nullptr) const;
 
@@ -133,8 +136,8 @@ class DocumentConverter {
   const ConvertOptions& options() const { return options_; }
 
  private:
-  /// Shared guarded post-parse path (tidy + the four rules) used by both
-  /// Try entry points. `root` must already be admitted to `budget`.
+  /// The one post-parse path (tidy + the four rules) behind every entry
+  /// point. `root` must already be admitted to `budget`.
   Status RunGuardedRules(Node* root, ConvertStats* out,
                          std::string* failed_stage,
                          ResourceBudget& budget) const;
@@ -143,6 +146,7 @@ class DocumentConverter {
   const ConceptRecognizer* recognizer_;
   const ConstraintSet* constraints_;
   ConvertOptions options_;
+  TextSplitter splitter_;
 };
 
 }  // namespace webre

@@ -9,6 +9,12 @@ std::vector<InstanceMatch> SynonymRecognizer::Recognize(
   return concepts_->MatchAll(token_text);
 }
 
+void SynonymRecognizer::RecognizeInto(std::string_view token_text,
+                                      MatchScratch& scratch,
+                                      std::vector<InstanceMatch>& out) const {
+  concepts_->MatchAllInto(token_text, scratch, out);
+}
+
 BayesRecognizer::BayesRecognizer(const BayesClassifier* classifier,
                                  const ConceptSet* concepts,
                                  double min_margin)

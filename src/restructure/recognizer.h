@@ -21,6 +21,17 @@ class ConceptRecognizer {
   /// token cannot be associated with any concept.
   virtual std::vector<InstanceMatch> Recognize(
       std::string_view token_text) const = 0;
+
+  /// Recognize into caller-owned buffers: `out` is overwritten with the
+  /// matches Recognize returns. The text pass calls this once per token
+  /// with buffers reused across a document; the default forwards to
+  /// Recognize.
+  virtual void RecognizeInto(std::string_view token_text,
+                             MatchScratch& scratch,
+                             std::vector<InstanceMatch>& out) const {
+    (void)scratch;
+    out = Recognize(token_text);
+  }
 };
 
 /// Recognizer (1) of §2.3.1: "it is simply checked whether for a concept
@@ -33,6 +44,8 @@ class SynonymRecognizer : public ConceptRecognizer {
 
   std::vector<InstanceMatch> Recognize(
       std::string_view token_text) const override;
+  void RecognizeInto(std::string_view token_text, MatchScratch& scratch,
+                     std::vector<InstanceMatch>& out) const override;
 
  private:
   const ConceptSet* concepts_;

@@ -211,7 +211,33 @@ DtdValidationResult ValidateAgainstDtd(const Node& root, const Dtd& dtd) {
 }
 
 bool ConformsToDtd(const Node& root, const Dtd& dtd) {
-  return ValidateAgainstDtd(root, dtd).valid();
+  if (!root.is_element()) return false;
+  if (!dtd.root().empty() && root.name() != dtd.root()) return false;
+  // The checks of ValidateElement, stopping at the first violation and
+  // building no message. Iterative; one child-name buffer serves every
+  // element.
+  std::vector<std::string_view> child_names;
+  std::vector<const Node*> pending{&root};
+  while (!pending.empty()) {
+    const Node& element = *pending.back();
+    pending.pop_back();
+    const ElementDecl* decl = dtd.Find(element.name());
+    if (decl == nullptr) return false;
+    child_names.clear();
+    for (size_t i = 0; i < element.child_count(); ++i) {
+      const Node* child = element.child(i);
+      if (!child->is_element()) continue;
+      child_names.push_back(child->name());
+      pending.push_back(child);
+    }
+    if (decl->pcdata_only) {
+      if (!child_names.empty()) return false;
+    } else if (!MatchEnds(decl->content, child_names, 0)
+                    .Contains(child_names.size())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace webre

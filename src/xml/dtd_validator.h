@@ -37,7 +37,8 @@ struct DtdValidationResult {
 /// Validation continues past violations so the result lists all problems.
 DtdValidationResult ValidateAgainstDtd(const Node& root, const Dtd& dtd);
 
-/// Convenience: true iff the document conforms.
+/// True iff the document conforms: `ValidateAgainstDtd(root, dtd).valid()`,
+/// decided without building any violation and returning at the first.
 bool ConformsToDtd(const Node& root, const Dtd& dtd);
 
 }  // namespace webre

@@ -1,6 +1,7 @@
 #include "xml/node.h"
 
 #include <cassert>
+#include <functional>
 #include <new>
 #include <utility>
 
@@ -116,15 +117,27 @@ void Node::remove_attr(std::string_view name) {
 
 void Node::AppendVal(std::string_view more) {
   if (more.empty()) return;
-  std::string_view current = val();
-  if (current.empty()) {
-    set_val(std::string(more));
+  for (Attribute& a : attributes_) {
+    if (a.name != "val") continue;
+    std::string& current = a.value;
+    if (current.empty()) {
+      current.assign(more);
+      return;
+    }
+    // Grow first, then re-point `more` when it views `current`: the
+    // appends below then never reallocate under it.
+    const char* old_data = current.data();
+    const std::less<const char*> before;
+    const bool aliases = !before(more.data(), old_data) &&
+                         before(more.data(), old_data + current.size());
+    const size_t offset = aliases ? more.data() - old_data : 0;
+    current.reserve(current.size() + 1 + more.size());
+    if (aliases) more = std::string_view(current.data() + offset, more.size());
+    current.push_back(' ');
+    current.append(more);
     return;
   }
-  std::string combined(current);
-  combined.push_back(' ');
-  combined.append(more);
-  set_val(std::move(combined));
+  attributes_.push_back(Attribute{"val", std::string(more)});
 }
 
 size_t Node::IndexOf(const Node* child) const {

@@ -119,9 +119,10 @@ class Node {
   /// type CDATA", §2.3).
   std::string_view val() const { return attr("val"); }
   void set_val(std::string value) { set_attr("val", std::move(value)); }
-  /// Appends `more` to the `val` attribute, inserting a single space
-  /// separator when both sides are non-empty. Used by the concept instance
-  /// rule to pass unidentified text up to the parent without loss.
+  /// Appends `more` to the `val` attribute in place, inserting a single
+  /// space separator when both sides are non-empty. Used by the concept
+  /// instance rule to pass unidentified text up to the parent without
+  /// loss. `more` may view this node's own `val`.
   void AppendVal(std::string_view more);
 
   /// Children in document order.
@@ -143,6 +144,9 @@ class Node {
   std::unique_ptr<Node> RemoveChild(size_t index);
   /// Detaches and returns all children.
   std::vector<std::unique_ptr<Node>> RemoveAllChildren();
+  /// Reserves room for `n` children, so a rule that detaches the
+  /// children and adds the survivors back grows the list once.
+  void ReserveChildren(size_t n) { children_.reserve(n); }
   /// Replaces the child at `index` with `replacement`; returns the old
   /// child.
   std::unique_ptr<Node> ReplaceChild(size_t index,

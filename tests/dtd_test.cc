@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "xml/dtd.h"
 #include "xml/dtd_validator.h"
 #include "xml/node.h"
@@ -163,6 +168,41 @@ TEST(DtdValidatorTest, RootNameMustMatch) {
   Node* edu = root->AddElement("education");
   edu->AddElement("degree");
   EXPECT_FALSE(ConformsToDtd(*root, dtd));
+}
+
+TEST(DtdValidatorTest, ConformsAgreesWithValidateOnEveryViolationKind) {
+  const Dtd dtd = ResumeishDtd();
+  std::vector<std::pair<std::string, std::unique_ptr<Node>>> cases;
+  cases.emplace_back("valid", ValidResume());
+  {
+    auto doc = ValidResume();
+    doc->child(2)->AddElement("mystery");
+    cases.emplace_back("undeclared element", std::move(doc));
+  }
+  {
+    // Declared and matching its own content model: only the root name
+    // is wrong.
+    auto doc = Node::MakeElement("education");
+    doc->AddElement("degree");
+    cases.emplace_back("root mismatch", std::move(doc));
+  }
+  {
+    auto doc = ValidResume();
+    doc->child(2)->AddElement("degree");  // degree, date, date, degree
+    cases.emplace_back("content model mismatch", std::move(doc));
+  }
+  {
+    auto doc = ValidResume();
+    doc->child(1)->AddElement("date");  // contact is (#PCDATA)
+    cases.emplace_back("#PCDATA element with element children",
+                       std::move(doc));
+  }
+  cases.emplace_back("non-element root", Node::MakeText("text"));
+  for (const auto& [name, doc] : cases) {
+    const DtdValidationResult result = ValidateAgainstDtd(*doc, dtd);
+    EXPECT_EQ(result.valid(), name == "valid") << name;
+    EXPECT_EQ(ConformsToDtd(*doc, dtd), result.valid()) << name;
+  }
 }
 
 TEST(DtdValidatorTest, ValidationContinuesPastFirstViolation) {

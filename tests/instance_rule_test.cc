@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "concepts/resume_domain.h"
-#include "restructure/instance_rule.h"
-#include "restructure/tokenize_rule.h"
+#include "text_rules_oracle.h"
 
 namespace webre {
 namespace {
+
+using oracle::ApplyConceptInstanceRule;
+using oracle::ApplyTokenizationRule;
 
 class InstanceRuleTest : public ::testing::Test {
  protected:

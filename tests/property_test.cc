@@ -293,5 +293,46 @@ TEST(MappedConformanceTest, EveryMappedDocumentValidates) {
   }
 }
 
+// ConformsToDtd stops at the first violation and builds no message; it
+// must still answer exactly what the full report does, on converted
+// documents (which mostly violate the DTD) and mapped ones (which mostly
+// conform), against both DTD shapes.
+TEST(ConformanceAgreementTest, ConformsEqualsValidateValid) {
+  Fixture& f = Shared();
+  for (const uint64_t seed : {uint64_t{20020226}, uint64_t{1}}) {
+    CorpusOptions corpus;
+    corpus.seed = seed;
+    FrequentPathMiner miner;
+    miner.mutable_options().constraints = &f.constraints;
+    std::vector<std::unique_ptr<Node>> docs;
+    for (size_t i = 0; i < 60; ++i) {
+      docs.push_back(f.converter.Convert(GenerateResume(i, corpus).html));
+      miner.AddDocument(*docs.back());
+    }
+    const MajoritySchema schema = miner.Discover();
+    for (const bool mark_optional : {false, true}) {
+      DtdBuildOptions dtd_options;
+      dtd_options.mark_optional = mark_optional;
+      const Dtd dtd = BuildDtd(schema, dtd_options);
+      size_t conforming[2] = {0, 0};
+      for (size_t i = 0; i < docs.size(); ++i) {
+        const std::unique_ptr<Node> mapped =
+            ConformToSchema(*docs[i], schema, dtd).document;
+        const Node* pair[2] = {docs[i].get(), mapped.get()};
+        for (int k = 0; k < 2; ++k) {
+          const bool valid = ValidateAgainstDtd(*pair[k], dtd).valid();
+          EXPECT_EQ(ConformsToDtd(*pair[k], dtd), valid)
+              << "seed " << seed << " doc " << i
+              << (k == 0 ? " converted" : " mapped");
+          conforming[k] += valid ? 1 : 0;
+        }
+      }
+      // Both answers occur.
+      EXPECT_LT(conforming[0], docs.size());
+      EXPECT_GT(conforming[1], 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace webre

@@ -1,16 +1,73 @@
-#include "restructure/instance_rule.h"
+#ifndef WEBRE_TESTS_TEXT_RULES_ORACLE_H_
+#define WEBRE_TESTS_TEXT_RULES_ORACLE_H_
 
+// Test oracle: the tokenization rule and the concept instance rule as
+// two separate passes — every text piece first becomes a
+// <TOKEN>text</TOKEN> node, then each TOKEN is recognized and replaced.
+// ApplyTextRules fuses them into one pass that builds no TOKEN node and
+// must produce the same tree, the same token count and the same
+// InstanceRuleStats on every input (text_rules_differential_test).
+
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "restructure/tokenize_rule.h"
+#include "restructure/text_rules.h"
 #include "util/strings.h"
+#include "xml/node.h"
 
 namespace webre {
-namespace {
+namespace oracle {
+namespace detail {
+
+inline size_t TokenizeUnder(Node* node, const TokenizeOptions& options,
+                            NameId token_id,
+                            std::vector<std::string_view>& pieces) {
+  size_t created = 0;
+  for (size_t i = 0; i < node->child_count();) {
+    Node* child = node->child(i);
+    if (child->is_element()) {
+      created += TokenizeUnder(child, options, token_id, pieces);
+      ++i;
+      continue;
+    }
+    // Text node: replace by token nodes at the same position. The removed
+    // node is kept alive until all views into its text are consumed; the
+    // scratch vector is drained here before any recursive frame reuses it.
+    std::unique_ptr<Node> removed = node->RemoveChild(i);
+    pieces.clear();
+    SplitAnyViews(removed->text(), options.delimiters, pieces);
+    size_t insert_at = i;
+    for (std::string_view piece : pieces) {
+      std::string_view trimmed = StripAsciiWhitespace(piece);
+      if (trimmed.empty()) continue;
+      std::unique_ptr<Node> token = Node::MakeElement(token_id);
+      token->AddText(std::string(trimmed));
+      node->InsertChild(insert_at++, std::move(token));
+      ++created;
+    }
+    i = insert_at;
+  }
+  return created;
+}
+
+}  // namespace detail
+
+/// The tokenization rule (§2.3.1): every text node is replaced *in place*
+/// by `n >= 1` `<TOKEN>text</TOKEN>` nodes, split at the delimiters.
+/// Returns the number of token nodes created.
+inline size_t ApplyTokenizationRule(Node* root,
+                                    const TokenizeOptions& options = {}) {
+  if (root == nullptr) return 0;
+  std::vector<std::string_view> pieces;
+  return detail::TokenizeUnder(root, options, InternName(kTokenTag), pieces);
+}
+
+namespace detail {
 
 // Gathers the full text carried by a token node (its text children).
-std::string TokenText(const Node& token) {
+inline std::string TokenText(const Node& token) {
   std::string text;
   for (size_t i = 0; i < token.child_count(); ++i) {
     const Node* child = token.child(i);
@@ -150,13 +207,18 @@ class InstanceRule {
   InstanceRuleStats stats_;
 };
 
-}  // namespace
+}  // namespace detail
 
-InstanceRuleStats ApplyConceptInstanceRule(Node* root,
-                                           const ConceptRecognizer& recognizer,
-                                           const ConstraintSet* constraints) {
+/// The concept instance rule (§2.3.1) over the TOKEN nodes that
+/// ApplyTokenizationRule produced.
+inline InstanceRuleStats ApplyConceptInstanceRule(
+    Node* root, const ConceptRecognizer& recognizer,
+    const ConstraintSet* constraints = nullptr) {
   if (root == nullptr) return {};
-  return InstanceRule(recognizer, constraints).Run(root);
+  return detail::InstanceRule(recognizer, constraints).Run(root);
 }
 
+}  // namespace oracle
 }  // namespace webre
+
+#endif  // WEBRE_TESTS_TEXT_RULES_ORACLE_H_

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "html/parser.h"
-#include "restructure/tokenize_rule.h"
+#include "text_rules_oracle.h"
 
 namespace webre {
 namespace {
+
+using oracle::ApplyTokenizationRule;
 
 // Collects the texts of all TOKEN nodes in pre-order.
 std::vector<std::string> TokenTexts(const Node& root) {

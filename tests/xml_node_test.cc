@@ -88,6 +88,31 @@ TEST(NodeTest, AppendValInsertsSeparator) {
   EXPECT_EQ(e->val(), "first second");
 }
 
+TEST(NodeTest, AppendValMayViewItsOwnVal) {
+  // AppendVal grows `val` in place; the view it appends may point into
+  // the very buffer that grows (and reallocates).
+  auto e = Node::MakeElement("e");
+  const std::string word(40, 'w');
+  e->set_val(word);
+  e->AppendVal(e->val());
+  EXPECT_EQ(e->val(), word + " " + word);
+  std::string expected(e->val());
+  for (int round = 0; round < 6; ++round) {
+    const std::string_view tail = e->val().substr(e->val().size() / 3);
+    expected = expected + " " + std::string(tail);
+    e->AppendVal(tail);
+    ASSERT_EQ(e->val(), expected) << "round " << round;
+  }
+  // A view of another attribute of the same node, added before `val`
+  // exists, survives the attribute list growing.
+  auto f = Node::MakeElement("f");
+  f->set_attr("class", "short");
+  f->AppendVal(f->attr("class"));
+  EXPECT_EQ(f->val(), "short");
+  EXPECT_EQ(f->attributes().size(), 2u);
+  EXPECT_EQ(f->attributes()[1].name, "val");
+}
+
 TEST(NodeTest, IndexOf) {
   auto root = Node::MakeElement("a");
   root->AddElement("b");
