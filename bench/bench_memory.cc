@@ -12,7 +12,6 @@
 // ingest is likewise gated on the header existing.
 //
 // Usage: bench_memory [--docs=N] [--arm=NAME] [--arena=on|off]
-//                     [--flat=on|off]
 
 #include <sys/resource.h>
 
@@ -100,7 +99,6 @@ struct Flags {
   std::size_t docs = 200;
   std::string arm = "current";
   bool arena = true;
-  bool flat = true;
 };
 
 // Resident set right now, from /proc/self/status (ru_maxrss is the
@@ -135,10 +133,6 @@ Flags ParseFlags(int argc, char** argv) {
       flags.arena = true;
     } else if (arg == "--arena=off") {
       flags.arena = false;
-    } else if (arg == "--flat=on") {
-      flags.flat = true;
-    } else if (arg == "--flat=off") {
-      flags.flat = false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       std::exit(2);
@@ -212,25 +206,21 @@ int main(int argc, char** argv) {
   getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is KiB on Linux
 
   // Steady state: hand the converted corpus to the repository (which
-  // freezes each tree into a FlatDoc and releases its arena unless
-  // --flat=off), drop every piece of conversion scaffolding, trim the
-  // heap, and read the resident set that remains.
+  // freezes each tree into a FlatDoc and frees the tree), release each
+  // document's arena after it, drop every piece of conversion
+  // scaffolding, trim the heap, and read the resident set that remains.
   double repo_rss_mb = 0.0;
-  bool flat_in_effect = false;
 #ifdef WEBRE_BENCH_HAS_REPOSITORY
   webre::RepositoryOptions repo_options;
   repo_options.num_shards = 1;
-  repo_options.freeze_flat = flags.flat;
-  flat_in_effect = flags.flat;
   webre::XmlRepository repo(repo_options);
   for (std::size_t i = 0; i < result.documents.size(); ++i) {
     if (result.documents[i] == nullptr) continue;
-    std::shared_ptr<webre::NodeArena> arena =
-        i < result.arenas.size() ? result.arenas[i] : nullptr;
-    if (!repo.Add(std::move(result.documents[i]), std::move(arena)).ok()) {
+    if (!repo.Add(std::move(result.documents[i])).ok()) {
       std::fprintf(stderr, "repository rejected document %zu\n", i);
       return 1;
     }
+    if (i < result.arenas.size()) result.arenas[i].reset();
   }
   result = webre::PipelineResult{};  // free trees, arenas, outcomes
   pages.clear();
@@ -245,7 +235,6 @@ int main(int argc, char** argv) {
       "{\n"
       "  \"arm\": \"%s\",\n"
       "  \"arena\": %s,\n"
-      "  \"flat\": %s,\n"
       "  \"documents\": %zu,\n"
       "  \"input_mb\": %.3f,\n"
       "  \"seconds\": %.4f,\n"
@@ -256,8 +245,7 @@ int main(int argc, char** argv) {
       "  \"peak_rss_mb\": %.1f,\n"
       "  \"repo_rss_mb\": %.1f\n"
       "}\n",
-      flags.arm.c_str(), arena_in_effect ? "true" : "false",
-      flat_in_effect ? "true" : "false", flags.docs,
+      flags.arm.c_str(), arena_in_effect ? "true" : "false", flags.docs,
       static_cast<double>(input_bytes) / (1024.0 * 1024.0), seconds,
       static_cast<double>(flags.docs) / seconds,
       static_cast<double>(input_bytes) / (1024.0 * 1024.0) / seconds,

@@ -3,9 +3,7 @@
 // The "after" arm is the current XmlRepository (sharded storage,
 // NameId-keyed structural summary with per-path value columns, one
 // column-seeded query executor over frozen FlatDoc blocks). The
-// "after_no_flat" arm is the same repository with --no-flat storage
-// (pointer trees), isolating the flat representation's contribution.
-// The "before" arm replicates the seed serving layer inside this
+// "before" arm replicates the seed serving layer inside this
 // binary — a flat document vector, a joined-string path index used
 // only for whole-prefix candidate pruning, and per-document tree
 // evaluation with the original quadratic frontier dedup — so all arms
@@ -373,14 +371,10 @@ int main(int argc, char** argv) {
   BaselineRepo before;
   webre::RepositoryOptions options;
   options.num_shards = flags.shards;
-  webre::XmlRepository after(options);  // freeze_flat on by default
-  webre::RepositoryOptions no_flat_options = options;
-  no_flat_options.freeze_flat = false;
-  webre::XmlRepository after_no_flat(no_flat_options);
+  webre::XmlRepository after(options);
   for (size_t i = 0; i < flags.docs; ++i) {
     before.Add(MakeDoc(i));
     after.Add(MakeDoc(i)).value();
-    after_no_flat.Add(MakeDoc(i)).value();
   }
 
   // Kernel cross-check before any timing: the predicate workloads must
@@ -424,30 +418,19 @@ int main(int argc, char** argv) {
   const WorkloadResult after_mixed = RunWorkload(after, mixed, flags.reps);
   const WorkloadResult after_predicate =
       RunWorkload(after, predicate, flags.reps);
-  const WorkloadResult no_flat_simple =
-      RunWorkload(after_no_flat, simple, flags.reps);
-  const WorkloadResult no_flat_mixed =
-      RunWorkload(after_no_flat, mixed, flags.reps);
-  const WorkloadResult no_flat_predicate =
-      RunWorkload(after_no_flat, predicate, flags.reps);
 
-  // All arms see identical corpora, so their match totals must agree;
+  // Both arms see identical corpora, so their match totals must agree;
   // a mismatch means one serving layer is wrong, and no timing from
   // this run can be trusted.
   if (before_simple.matches != after_simple.matches ||
       before_mixed.matches != after_mixed.matches ||
-      before_predicate.matches != after_predicate.matches ||
-      no_flat_simple.matches != after_simple.matches ||
-      no_flat_mixed.matches != after_mixed.matches ||
-      no_flat_predicate.matches != after_predicate.matches) {
+      before_predicate.matches != after_predicate.matches) {
     std::fprintf(stderr,
-                 "FAIL: arms disagree (simple %zu vs %zu vs %zu, mixed "
-                 "%zu vs %zu vs %zu, predicate %zu vs %zu vs %zu)\n",
+                 "FAIL: arms disagree (simple %zu vs %zu, mixed %zu vs "
+                 "%zu, predicate %zu vs %zu)\n",
                  before_simple.matches, after_simple.matches,
-                 no_flat_simple.matches, before_mixed.matches,
-                 after_mixed.matches, no_flat_mixed.matches,
-                 before_predicate.matches, after_predicate.matches,
-                 no_flat_predicate.matches);
+                 before_mixed.matches, after_mixed.matches,
+                 before_predicate.matches, after_predicate.matches);
     return 1;
   }
 
@@ -467,9 +450,7 @@ int main(int argc, char** argv) {
   PrintArm("before", flags.docs, 1, before_simple, before_mixed,
            before_predicate, true);
   PrintArm("after", flags.docs, after.num_shards(), after_simple,
-           after_mixed, after_predicate, true);
-  PrintArm("after_no_flat", flags.docs, after_no_flat.num_shards(),
-           no_flat_simple, no_flat_mixed, no_flat_predicate, false);
+           after_mixed, after_predicate, false);
   std::printf(
       "  },\n"
       "  \"derived\": {\n"

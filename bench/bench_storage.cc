@@ -144,14 +144,12 @@ double DurableIngest(const std::string& dir, const Flags& flags,
   }
   const auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < result.documents.size(); ++i) {
-    std::shared_ptr<webre::NodeArena> arena =
-        i < result.arenas.size() ? result.arenas[i] : nullptr;
-    if (!(*durable)
-             ->Add(std::move(result.documents[i]), std::move(arena))
-             .ok()) {
+    if (!(*durable)->Add(std::move(result.documents[i])).ok()) {
       std::fprintf(stderr, "durable add rejected document %zu\n", i);
       std::exit(1);
     }
+    // Admission froze and freed the tree; its arena can go too.
+    if (i < result.arenas.size()) result.arenas[i].reset();
   }
   return Seconds(start, std::chrono::steady_clock::now());
 }
@@ -205,12 +203,11 @@ int main(int argc, char** argv) {
     repo_options.num_shards = flags.shards;
     webre::XmlRepository repo(repo_options);
     for (size_t i = 0; i < result.documents.size(); ++i) {
-      std::shared_ptr<webre::NodeArena> arena =
-          i < result.arenas.size() ? result.arenas[i] : nullptr;
-      if (!repo.Add(std::move(result.documents[i]), std::move(arena)).ok()) {
+      if (!repo.Add(std::move(result.documents[i])).ok()) {
         std::fprintf(stderr, "repository rejected document %zu\n", i);
         return 1;
       }
+      if (i < result.arenas.size()) result.arenas[i].reset();
     }
     cold_seconds = Seconds(start, std::chrono::steady_clock::now());
     cold_matches = ProbeMatches(repo);

@@ -9,9 +9,9 @@
 #   3. the checked-in BENCH_memory.json artifact is validated against
 #      the same schema, including the before/after arms the memory
 #      overhaul is judged by;
-#   4. bench_query runs a tiny corpus through all three serving-layer
-#      arms (the run itself asserts the arms agree on every match
-#      count) and must emit the query-bench schema;
+#   4. bench_query runs a tiny corpus through both serving-layer arms
+#      (the run itself asserts the arms agree on every match count) and
+#      must emit the query-bench schema;
 #   5. the checked-in BENCH_query.json artifact is validated against
 #      the same schema, including the recorded speedups the query
 #      serving layer is judged by (simple >= 100x, mixed >= 8x and
@@ -158,9 +158,8 @@ def check_arm(arm, where, require_repo):
     if require_repo:
         # Builds with the repository report the steady-state RSS of the
         # frozen corpus; the historical "before" arm predates the key.
-        for key in ("flat", "repo_rss_mb"):
-            if key not in arm:
-                raise SystemExit(f"FAIL: {where}: missing key '{key}'")
+        if "repo_rss_mb" not in arm:
+            raise SystemExit(f"FAIL: {where}: missing key 'repo_rss_mb'")
         if arm["repo_rss_mb"] <= 0:
             raise SystemExit(f"FAIL: {where}: implausible repo_rss_mb")
 
@@ -211,7 +210,7 @@ def check_record(record, where, assert_speedups):
             raise SystemExit(f"FAIL: {where}: missing key '{key}'")
     if record["bench"] != "bench_query":
         raise SystemExit(f"FAIL: {where}: wrong bench name")
-    for name in ("before", "after", "after_no_flat"):
+    for name in ("before", "after"):
         if name not in record["arms"]:
             raise SystemExit(f"FAIL: {where}: missing arm '{name}'")
         arm = record["arms"][name]

@@ -23,13 +23,15 @@ run_config() {
   echo "=== ${name}: WEBRE_SANITIZE=${sanitize}${label:+ (label ${label})} ==="
   cmake -B "${build_dir}" -S . -DWEBRE_SANITIZE="${sanitize}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "${build_dir}" -j >/dev/null
-  # ${label} before -j: a bare `-j` consumes the next argument as its
-  # job count on older ctest, silently dropping the label filter.
+  cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
+  # Every -j takes an explicit count: a bare `-j` runs unbounded jobs
+  # (sanitizer builds and tests are memory-hungry) and, on older ctest,
+  # consumes the next argument as its count.
   if [ -n "${label}" ]; then
-    ctest --test-dir "${build_dir}" --output-on-failure -L "${label}" -j
+    ctest --test-dir "${build_dir}" --output-on-failure -L "${label}" \
+      -j "$(nproc)"
   else
-    ctest --test-dir "${build_dir}" --output-on-failure -j
+    ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
   fi
   # Query-engine tests run a second time with the predicate scanner
   # pinned to the scalar kernel: sanitizers don't see through SIMD
@@ -39,7 +41,8 @@ run_config() {
   if [ -z "${label}" ] || [ "${label}" = query ]; then
     echo "=== ${name}: WEBRE_SIMD=scalar (label query) ==="
     WEBRE_SIMD=scalar \
-      ctest --test-dir "${build_dir}" --output-on-failure -L query -j
+      ctest --test-dir "${build_dir}" --output-on-failure -L query \
+        -j "$(nproc)"
   fi
 }
 

@@ -142,14 +142,12 @@ struct QueryStatsView {
   uint64_t index_hits = 0;      ///< answered without per-doc evaluation
   uint64_t prefix_hits = 0;     ///< seeded, then an EvaluateFrom suffix
   uint64_t fallback_walks = 0;  ///< documents the suffix evaluated
-  uint64_t flat_scans = 0;      ///< …of which evaluated via FlatDoc
   uint64_t matches = 0;         ///< matches returned across all queries
   /// Bytes of value text the predicate engine inspected: the value
-  /// columns (or whole pools) swept for the first predicate, plus the
-  /// full lengths of candidate slices (or pools) later predicates
-  /// inspected, charged independently of early exits — deterministic
-  /// across shard/thread counts and SIMD levels. Pointer-tree suffix
-  /// walks (--no-flat mode) are not instrumented.
+  /// columns swept for the first predicate, plus the full lengths of
+  /// candidate slices (or pools) later predicates inspected, charged
+  /// independently of early exits — deterministic across shard/thread
+  /// counts and SIMD levels.
   uint64_t predicate_bytes_scanned = 0;
   /// Plan classification by query shape, exactly one per query (they
   /// sum to `queries`): no predicate, a predicate on the final step

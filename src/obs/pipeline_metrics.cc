@@ -131,7 +131,6 @@ PipelineMetricsSnapshot::CounterItems() const {
       {"query.index_hits", query_index_hits},
       {"query.prefix_hits", query_prefix_hits},
       {"query.fallback_walks", query_fallback_walks},
-      {"query.flat_scans", query_flat_scans},
       {"query.matches", query_matches},
       {"query.predicate_bytes_scanned", query_predicate_bytes_scanned},
       {"query.plan.summary", query_plan_summary},
@@ -164,7 +163,6 @@ void PipelineMetrics::MergeQueryStats(const QueryStatsView& stats) {
   query.index_hits.Add(stats.index_hits);
   query.prefix_hits.Add(stats.prefix_hits);
   query.fallback_walks.Add(stats.fallback_walks);
-  query.flat_scans.Add(stats.flat_scans);
   query.matches.Add(stats.matches);
   query.predicate_bytes_scanned.Add(stats.predicate_bytes_scanned);
   query.plan_summary.Add(stats.plan_summary);
@@ -271,7 +269,6 @@ PipelineMetricsSnapshot PipelineMetrics::Snapshot() const {
   snapshot.query_index_hits = query.index_hits.value();
   snapshot.query_prefix_hits = query.prefix_hits.value();
   snapshot.query_fallback_walks = query.fallback_walks.value();
-  snapshot.query_flat_scans = query.flat_scans.value();
   snapshot.query_matches = query.matches.value();
   snapshot.query_predicate_bytes_scanned =
       query.predicate_bytes_scanned.value();

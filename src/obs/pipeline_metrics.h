@@ -53,7 +53,6 @@ struct PipelineMetricsSnapshot {
   uint64_t query_index_hits = 0;
   uint64_t query_prefix_hits = 0;
   uint64_t query_fallback_walks = 0;
-  uint64_t query_flat_scans = 0;
   uint64_t query_matches = 0;
   uint64_t query_predicate_bytes_scanned = 0;
   uint64_t query_plan_summary = 0;
@@ -209,7 +208,6 @@ class PipelineMetrics {
     Counter index_hits;
     Counter prefix_hits;
     Counter fallback_walks;
-    Counter flat_scans;
     Counter matches;
     Counter predicate_bytes_scanned;
     Counter plan_summary;

@@ -3,57 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "util/strings.h"
-
 namespace webre {
-
-LocalDocumentPaths CollectLocalPaths(const Node& root) {
-  LocalDocumentPaths out;
-  if (!root.is_element()) return out;
-
-  // (parent path << 32 | name) -> index into out.paths. Documents are
-  // small relative to the repository; a node-local map is fine here.
-  std::unordered_map<uint64_t, uint32_t> dense;
-  dense.reserve(64);
-  auto resolve = [&](uint32_t parent, NameId name) -> uint32_t {
-    const uint64_t key = (static_cast<uint64_t>(parent) << 32) | name;
-    auto [it, inserted] =
-        dense.emplace(key, static_cast<uint32_t>(out.paths.size()));
-    if (inserted) {
-      LocalDocumentPaths::Path path;
-      path.parent = parent;
-      path.name = name;
-      out.paths.push_back(std::move(path));
-    }
-    return it->second;
-  };
-
-  // Pre-order via an explicit stack (children pushed in reverse), so
-  // pathological depth cannot overflow the C++ stack. `pos` numbers
-  // elements in document order.
-  struct Frame {
-    const Node* node;
-    uint32_t path;
-  };
-  std::vector<Frame> stack;
-  const uint32_t root_path =
-      resolve(LocalDocumentPaths::kNoParent, root.name_id());
-  stack.push_back(Frame{&root, root_path});
-  uint32_t pos = 0;
-  while (!stack.empty()) {
-    Frame frame = stack.back();
-    stack.pop_back();
-    out.paths[frame.path].occurrences.emplace_back(pos, frame.node);
-    ++pos;
-    ++out.element_count;
-    for (size_t i = frame.node->child_count(); i > 0; --i) {
-      const Node* child = frame.node->child(i - 1);
-      if (!child->is_element()) continue;
-      stack.push_back(Frame{child, resolve(frame.path, child->name_id())});
-    }
-  }
-  return out;
-}
 
 LocalDocumentPaths CollectLocalPaths(const FlatDoc& doc) {
   LocalDocumentPaths out;
@@ -87,7 +37,7 @@ LocalDocumentPaths CollectLocalPaths(const FlatDoc& doc) {
                                      : elem_path[parent];
     const uint32_t path = resolve(parent_path, doc.name(i));
     elem_path[i] = path;
-    out.paths[path].occurrences.emplace_back(i, nullptr);
+    out.paths[path].occurrences.push_back(i);
   }
   return out;
 }
@@ -113,7 +63,7 @@ void CollectRestorePaths(const FlatDoc& doc, LocalDocumentPaths& local,
     double position_sum = 0.0;
     size_t position_count = 0;
     uint32_t emit = kNoDense;
-    std::vector<std::pair<uint32_t, const Node*>> occurrences;
+    std::vector<uint32_t> occurrences;
   };
   constexpr uint64_t kEmptySlot = 0xFFFFFFFFFFFFFFFFull;
   std::vector<DenseEntry> entries;
@@ -179,7 +129,7 @@ void CollectRestorePaths(const FlatDoc& doc, LocalDocumentPaths& local,
         entry.emit = static_cast<uint32_t>(emit_order.size());
         emit_order.push_back(path_index);
       }
-      entry.occurrences.emplace_back(e, nullptr);
+      entry.occurrences.push_back(e);
     }
 
     counts.clear();
@@ -261,16 +211,6 @@ void InsertSorted(std::vector<DocId>& docs, DocId doc) {
   if (it == docs.end() || *it != doc) docs.insert(it, doc);
 }
 
-/// Appends the ASCII-lowered value of `occ` to a column: the frozen
-/// document's pre-lowered slice, or the tree node's value lowered here.
-void AppendLoweredValue(const PathOccurrence& occ, std::string& column) {
-  if (occ.flat != nullptr) {
-    column.append(occ.flat->val_lowered(occ.pos));
-  } else {
-    for (char c : occ.node->val()) column.push_back(AsciiToLower(c));
-  }
-}
-
 }  // namespace
 
 uint64_t PathIndex::Mix(uint64_t key) {
@@ -335,7 +275,7 @@ uint32_t PathIndex::Lookup(uint32_t parent, NameId name) const {
 }
 
 void PathIndex::AddDocument(const LocalDocumentPaths& local, DocId doc,
-                            const FlatDoc* flat) {
+                            const FlatDoc& flat) {
   // Parents precede children in `local.paths`, so each local path's
   // global id resolves from its parent's already-resolved id.
   std::vector<uint32_t> global(local.paths.size());
@@ -364,10 +304,9 @@ void PathIndex::AddDocument(const LocalDocumentPaths& local, DocId doc,
     entry.column_off.insert(entry.column_off.begin() + offset + 1, n, 0);
     values.clear();
     for (size_t k = 0; k < n; ++k) {
-      const PathOccurrence occ{doc, path.occurrences[k].first,
-                               path.occurrences[k].second, flat};
-      entry.occurrences[offset + k] = occ;
-      AppendLoweredValue(occ, values);
+      const uint32_t pos = path.occurrences[k];
+      entry.occurrences[offset + k] = PathOccurrence{doc, pos, &flat};
+      values.append(flat.val_lowered(pos));
       entry.column_off[offset + 1 + k] = start + values.size();
     }
     entry.column.insert(start, values);
@@ -411,8 +350,7 @@ Status PathIndex::LoadEntry(uint32_t parent, NameId name,
   // fills.
   size_t bytes = 0;
   for (const PathOccurrence& occ : occurrences) {
-    bytes += occ.flat != nullptr ? occ.flat->val(occ.pos).size()
-                                 : occ.node->val().size();
+    bytes += occ.flat->val(occ.pos).size();
   }
   const uint32_t expected = static_cast<uint32_t>(entries_.size());
   if (Resolve(parent, name) != expected) {
@@ -426,7 +364,7 @@ Status PathIndex::LoadEntry(uint32_t parent, NameId name,
   entry.column.reserve(bytes);
   entry.column_off.reserve(entry.occurrences.size() + 1);
   for (const PathOccurrence& occ : entry.occurrences) {
-    AppendLoweredValue(occ, entry.column);
+    entry.column.append(occ.flat->val_lowered(occ.pos));
     entry.column_off.push_back(entry.column.size());
   }
   return Status::Ok();

@@ -4,14 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "schema/path_extractor.h"
 #include "util/status.h"
 #include "xml/flat_doc.h"
 #include "xml/name_table.h"
-#include "xml/node.h"
 
 namespace webre {
 
@@ -22,17 +20,14 @@ using DocId = size_t;
 struct PathOccurrence {
   DocId doc = 0;
   /// Pre-order index of the element among the document's elements —
-  /// the document-order sort key, unique within a document. In flat
-  /// mode this is also the element's index into `flat`.
+  /// the document-order sort key, unique within a document, and the
+  /// element's index into `flat`.
   uint32_t pos = 0;
-  /// The realizing element's tree node, or null when the repository
-  /// froze the document (flat mode).
-  const Node* node = nullptr;
-  /// The frozen document owning `pos`, or null in pointer mode.
+  /// The frozen document owning `pos`.
   const FlatDoc* flat = nullptr;
 };
 
-static_assert(sizeof(PathOccurrence) == sizeof(DocId) + 8 + 2 * sizeof(void*),
+static_assert(sizeof(PathOccurrence) == sizeof(DocId) + 8 + sizeof(void*),
               "PathOccurrence layout mirrors QueryMatch so the summary "
               "plan's emit loop is a straight field copy");
 
@@ -46,22 +41,17 @@ struct LocalDocumentPaths {
   struct Path {
     uint32_t parent = kNoParent;  ///< index into `paths`; parents first
     NameId name = kInvalidNameId;
-    /// (pre-order position, node) per occurrence, position-ascending.
-    std::vector<std::pair<uint32_t, const Node*>> occurrences;
+    /// Pre-order position per occurrence, ascending.
+    std::vector<uint32_t> occurrences;
   };
 
   std::vector<Path> paths;
   size_t element_count = 0;
 };
 
-/// Walks `root` (iteratively — depth-safe) and groups its elements by
-/// distinct root-emanating label path.
-LocalDocumentPaths CollectLocalPaths(const Node& root);
-
-/// Same grouping over a frozen document: one linear pass resolving each
-/// element's path from its parent's (pre-order guarantees parents come
-/// first). Occurrence node pointers are null — flat consumers address
-/// elements by (doc, pos).
+/// Groups a frozen document's elements by distinct root-emanating label
+/// path: one linear pass resolving each element's path from its
+/// parent's (pre-order guarantees parents come first).
 LocalDocumentPaths CollectLocalPaths(const FlatDoc& doc);
 
 /// Snapshot-restore fast path: ONE pass over the frozen document fills
@@ -122,12 +112,11 @@ class PathIndex {
   /// order (concurrent Adds race to the summary); posting lists,
   /// occurrences and value columns stay sorted — the document's run is
   /// spliced in at its id (a plain append when ids arrive in order).
-  /// A document must be added at most once. `flat` (when the
-  /// repository froze the document) is stamped onto every occurrence
-  /// and supplies the pre-lowered values; otherwise each occurrence's
-  /// node value is lowered here.
+  /// A document must be added at most once. `flat`, the frozen
+  /// document `local` describes, is stamped onto every occurrence and
+  /// supplies the pre-lowered values.
   void AddDocument(const LocalDocumentPaths& local, DocId doc,
-                   const FlatDoc* flat = nullptr);
+                   const FlatDoc& flat);
 
   /// Storage restore: appends the entry with id == path_count(),
   /// rebuilding the children/roots lists and the hash table from the

@@ -1,7 +1,6 @@
 #include "repository/query.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "repository/predicate.h"
 #include "util/simd_scan.h"
@@ -105,152 +104,6 @@ std::vector<std::string> PathQuery::AsLabelPath() const {
 
 namespace {
 
-bool StepMatches(const QueryStep& step, const Node& node) {
-  if (!node.is_element()) return false;
-  if (step.name_id != kInvalidNameId) {
-    // Parsed, non-wildcard step: one integer compare.
-    if (node.name_id() != step.name_id) return false;
-  } else if (!step.wildcard && step.name != "*" && node.name() != step.name) {
-    // Hand-assembled step: match through the string.
-    return false;
-  }
-  if (!step.val_contains.empty()) {
-    // Parsed steps carry the pre-lowered needle; hand-assembled steps
-    // pay the per-check lowering.
-    const bool contained =
-        step.val_lower.size() == step.val_contains.size()
-            ? ContainsLowered(node.val(), step.val_lower)
-            : ContainsIgnoreCase(node.val(), step.val_contains);
-    if (!contained) return false;
-  }
-  return true;
-}
-
-// Collects nodes in `from`'s subtree (excluding `from`) matching `step`.
-void CollectDescendants(const Node& from, const QueryStep& step,
-                        std::vector<const Node*>& out) {
-  for (size_t i = 0; i < from.child_count(); ++i) {
-    const Node* child = from.child(i);
-    if (!child->is_element()) continue;
-    if (StepMatches(step, *child)) out.push_back(child);
-    CollectDescendants(*child, step, out);
-  }
-}
-
-// Strict document-order comparison of two nodes of the SAME document:
-// lift the deeper node to equal depth (an ancestor precedes its
-// descendants), then lift both until the parents coincide and compare
-// sibling indices. Nodes of different documents compare by root
-// pointer — arbitrary but strict, callers only sort within one
-// document.
-bool DocumentOrderLess(const Node* a, const Node* b) {
-  if (a == b) return false;
-  const Node* pa = a;
-  const Node* pb = b;
-  size_t da = pa->Depth();
-  size_t db = pb->Depth();
-  while (da > db) {
-    pa = pa->parent();
-    --da;
-    if (pa == b) return false;  // b is an ancestor of a
-  }
-  while (db > da) {
-    pb = pb->parent();
-    --db;
-    if (pb == a) return true;  // a is an ancestor of b
-  }
-  while (pa->parent() != pb->parent()) {
-    pa = pa->parent();
-    pb = pb->parent();
-  }
-  const Node* parent = pa->parent();
-  if (parent == nullptr) return pa < pb;  // different documents
-  return parent->IndexOf(pa) < parent->IndexOf(pb);
-}
-
-}  // namespace
-
-std::vector<const Node*> PathQuery::Evaluate(const Node& root) const {
-  return EvaluateFrom({&root}, 0);
-}
-
-std::vector<const Node*> PathQuery::EvaluateFrom(
-    std::vector<const Node*> frontier, size_t first_step) const {
-  // After a descendant step the frontier may contain nested node pairs;
-  // a later child-axis expansion of a nested frontier can emit nodes
-  // out of document order, so the final set is re-sorted in that one
-  // case (the historic O(n²) dedup hid the issue by never reordering —
-  // and never fixing the order either).
-  bool nested_possible = false;
-  bool order_suspect = false;
-  for (size_t s = 0; s < first_step && s < steps_.size(); ++s) {
-    if (steps_[s].descendant) nested_possible = true;
-  }
-
-  if (first_step == 0) {
-    // Step 0 starts from the (virtual) document parent of the roots in
-    // `frontier`.
-    const QueryStep& first = steps_[0];
-    std::vector<const Node*> start;
-    for (const Node* root : frontier) {
-      if (first.descendant) {
-        if (StepMatches(first, *root)) start.push_back(root);
-        CollectDescendants(*root, first, start);
-      } else if (StepMatches(first, *root)) {
-        start.push_back(root);
-      }
-    }
-    frontier = std::move(start);
-    if (first.descendant) nested_possible = true;
-    first_step = 1;
-  }
-
-  for (size_t s = first_step; s < steps_.size(); ++s) {
-    const QueryStep& step = steps_[s];
-    std::vector<const Node*> next;
-    for (const Node* node : frontier) {
-      if (step.descendant) {
-        CollectDescendants(*node, step, next);
-      } else {
-        for (size_t i = 0; i < node->child_count(); ++i) {
-          const Node* child = node->child(i);
-          if (child->is_element() && StepMatches(step, *child)) {
-            next.push_back(child);
-          }
-        }
-      }
-    }
-    if (step.descendant) {
-      // Only descendant expansion of overlapping subtrees can duplicate
-      // a node (a child-axis step emits each node through its unique
-      // parent at most once). Dedup with a hash set, keeping first —
-      // i.e. document — occurrence.
-      if (nested_possible && next.size() > 1) {
-        std::unordered_set<const Node*> seen;
-        seen.reserve(next.size() * 2);
-        std::vector<const Node*> deduped;
-        deduped.reserve(next.size());
-        for (const Node* node : next) {
-          if (seen.insert(node).second) deduped.push_back(node);
-        }
-        next = std::move(deduped);
-      }
-      nested_possible = true;
-    } else if (nested_possible) {
-      order_suspect = true;
-    }
-    frontier = std::move(next);
-    if (frontier.empty()) break;
-  }
-
-  if (order_suspect && frontier.size() > 1) {
-    std::sort(frontier.begin(), frontier.end(), DocumentOrderLess);
-  }
-  return frontier;
-}
-
-namespace {
-
 // Per-call resolved form of one step for flat evaluation: name test as
 // a single NameId compare, predicate needle pre-lowered. `impossible`
 // marks a hand-assembled step whose name was never interned — no stored
@@ -336,16 +189,16 @@ std::vector<uint32_t> PathQuery::EvaluateFrom(
 std::vector<uint32_t> PathQuery::EvaluateFrom(
     const FlatDoc& doc, std::vector<uint32_t> frontier, size_t first_step,
     FlatEvalScratch& scratch) const {
-  // Mirrors the pointer-tree EvaluateFrom step by step; the per-step
-  // match sets are provably identical, and both variants return the
-  // final set deduplicated in document order (ascending indices here).
-  // Two intentional differences: dedup after a nested descendant step
-  // is a sort+unique over integers instead of a hash set (normalizes
-  // the intermediate order without changing the set), and a step's
-  // [val~…] predicate is applied in batch AFTER its name test collected
-  // the step's survivors — filtering a set then deduplicating it yields
-  // the same set as filtering element-wise, and the batch form lets the
-  // cost model swap in a full-pool sweep.
+  // Step by step: each step expands the frontier by its axis and name
+  // test, then applies its [val~…] predicate in batch to the step's
+  // survivors — filtering a set then deduplicating it yields the same
+  // set as filtering element-wise, and the batch form lets the cost
+  // model swap in a full-pool sweep. After a descendant step the
+  // frontier may hold nested elements, so a later descendant step can
+  // reach one element twice (deduplicated by sort+unique) and a later
+  // child step can emit out of document order (re-sorted once at the
+  // end). The result is deduplicated in document order (ascending
+  // indices).
   FlatEvalScratch::Impl& state = *scratch.impl_;
   std::vector<FlatStepTest>& tests = state.tests;
   if (state.resolved_for != this) {

@@ -11,7 +11,6 @@
 #include "util/status.h"
 #include "xml/flat_doc.h"
 #include "xml/name_table.h"
-#include "xml/node.h"
 
 namespace webre {
 
@@ -101,26 +100,21 @@ class PathQuery {
   /// The label path of a simple query (undefined otherwise).
   std::vector<std::string> AsLabelPath() const;
 
-  /// Evaluates the query against one document, returning matched
-  /// elements in document order (deduplicated).
-  std::vector<const Node*> Evaluate(const Node& root) const;
-
-  /// Evaluates steps [first_step, …) given `frontier`, the exact node
-  /// set steps [0, first_step) matched — deduplicated and in document
-  /// order. With first_step == 0 the frontier must hold the candidate
-  /// roots (step 0 still applies its own name test / descendant axis
-  /// to them as Evaluate does).
-  std::vector<const Node*> EvaluateFrom(std::vector<const Node*> frontier,
-                                        size_t first_step) const;
-
-  /// Flat-document twins of Evaluate/EvaluateFrom: identical match
-  /// semantics over a frozen FlatDoc, addressing elements by pre-order
-  /// index. Results come back ascending (= document order, deduplicated);
-  /// descendant steps are contiguous subtree-range scans and `[val~…]`
-  /// predicates are evaluated in batch — the step's name survivors are
-  /// collected first, then filtered through the SIMD scanner either
-  /// slice by slice or via one full-pool sweep intersected as a bitset,
-  /// whichever the per-document cost model picks (ShouldSweepPool).
+  /// Evaluates the query against one frozen document, addressing
+  /// elements by pre-order index. Results come back ascending
+  /// (= document order, deduplicated); descendant steps are contiguous
+  /// subtree-range scans and `[val~…]` predicates are evaluated in
+  /// batch — the step's name survivors are collected first, then
+  /// filtered through the SIMD scanner either slice by slice or via one
+  /// full-pool sweep intersected as a bitset, whichever the
+  /// per-document cost model picks (ShouldSweepPool).
+  ///
+  /// EvaluateFrom evaluates steps [first_step, …) given `frontier`, the
+  /// exact element set steps [0, first_step) matched — deduplicated and
+  /// ascending. With first_step == 0 the frontier must hold the
+  /// candidate roots (step 0 still applies its own name test /
+  /// descendant axis to them as Evaluate does).
+  ///
   /// The scratch-less overloads allocate a scratch per call; hot loops
   /// pass their own.
   std::vector<uint32_t> Evaluate(const FlatDoc& doc) const;

@@ -21,10 +21,9 @@ namespace {
 // run; these pin the field-for-field layout mirror that makes it one.
 static_assert(offsetof(PathOccurrence, doc) == offsetof(QueryMatch, doc) &&
               offsetof(PathOccurrence, pos) == offsetof(QueryMatch, pos) &&
-              offsetof(PathOccurrence, node) == offsetof(QueryMatch, node) &&
-              offsetof(PathOccurrence, flat) == offsetof(QueryMatch, flat) &&
-              sizeof(PathOccurrence) == sizeof(QueryMatch),
+              offsetof(PathOccurrence, flat) == offsetof(QueryMatch, flat),
               "PathOccurrence and QueryMatch must stay layout-identical");
+static_assert(sizeof(QueryMatch) == sizeof(PathOccurrence));
 static_assert(std::is_trivially_copyable_v<PathOccurrence> &&
               std::is_trivially_copyable_v<QueryMatch>);
 
@@ -32,7 +31,7 @@ static_assert(std::is_trivially_copyable_v<PathOccurrence> &&
 /// straight field copy (the two structs share a layout), so the summary
 /// plan's emit loop never dereferences into the owning document.
 QueryMatch MatchFromOccurrence(const PathOccurrence& occ) {
-  return QueryMatch{occ.doc, occ.pos, occ.node, occ.flat};
+  return QueryMatch{occ.doc, occ.pos, occ.flat};
 }
 
 /// One query step's name test, resolved to a NameId. `impossible` marks
@@ -261,7 +260,6 @@ XmlRepository::XmlRepository(RepositoryOptions options) {
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  freeze_flat_ = options.freeze_flat;
 }
 
 XmlRepository::~XmlRepository() = default;
@@ -272,11 +270,6 @@ void XmlRepository::SetDtd(Dtd dtd) {
 }
 
 StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document) {
-  return Add(std::move(document), nullptr);
-}
-
-StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document,
-                                   std::shared_ptr<NodeArena> arena) {
   if (document == nullptr || !document->is_element()) {
     return Status::InvalidArgument("document root must be an element");
   }
@@ -292,48 +285,14 @@ StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document,
   // Everything per-document — validation, path extraction, freezing —
   // runs outside any lock; only the index/trie updates are serialized.
   // ExtractPaths feeds the mining trie (statistics and constraint-
-  // checkable label strings), CollectLocalPaths feeds the structural
-  // indexes (element occurrences).
-  DocumentPaths paths = ExtractPaths(*document);
-  std::unique_ptr<FlatDoc> flat;
-  LocalDocumentPaths local;
-  if (freeze_flat_) {
-    flat = FlatDoc::Freeze(*document);
-    local = CollectLocalPaths(*flat);
-    // The tree (and its arena, if handed over) has served its purpose:
-    // return the conversion memory before admission even completes.
-    document.reset();
-    arena.reset();
-    flat_bytes_.Add(flat->block_bytes());
-  } else {
-    local = CollectLocalPaths(*document);
-  }
-  const FlatDoc* flat_ptr = flat.get();
-
-  const DocId id = next_id_.fetch_add(1, std::memory_order_acq_rel);
-  const size_t shard_count = shards_.size();
-  Shard& shard = *shards_[id % shard_count];
-  const size_t slot = id / shard_count;
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    if (shard.slots.size() <= slot) shard.slots.resize(slot + 1);
-    shard.miner.AddDocumentPaths(paths);
-    shard.elements += local.element_count;
-    shard.slots[slot].arena = std::move(arena);
-    shard.slots[slot].tree = std::move(document);
-    shard.slots[slot].flat = std::move(flat);
-  }
-  {
-    // Lock order: shard, then summary (same as every reader). The
-    // summary's occurrences carry flat_ptr; releasing this lock
-    // publishes the (immutable) FlatDoc to lock-free readers.
-    std::unique_lock<std::shared_mutex> lock(summary_mutex_);
-    summary_.AddDocument(local, id, flat_ptr);
-  }
-  // Publication is complete; only now may cached results keyed on the
-  // previous generation become invalid (SnapshotGenerations contract).
-  shard.generation.fetch_add(1, std::memory_order_release);
-  return id;
+  // checkable label strings); AdmitFrozen collects the structural
+  // indexes' element occurrences from the frozen form.
+  const DocumentPaths paths = ExtractPaths(*document);
+  std::unique_ptr<FlatDoc> flat = FlatDoc::Freeze(*document);
+  // The tree has served its purpose: free it before admission even
+  // begins.
+  document.reset();
+  return AdmitFrozen(std::move(flat), paths, /*feed_summary=*/true);
 }
 
 DocId XmlRepository::AdmitFrozen(std::unique_ptr<FlatDoc> flat,
@@ -352,12 +311,17 @@ DocId XmlRepository::AdmitFrozen(std::unique_ptr<FlatDoc> flat,
     if (shard.slots.size() <= slot) shard.slots.resize(slot + 1);
     shard.miner.AddDocumentPaths(mined);
     shard.elements += local.element_count;
-    shard.slots[slot].flat = std::move(flat);
+    shard.slots[slot] = std::move(flat);
   }
   if (feed_summary) {
+    // Lock order: shard, then summary (same as every reader). The
+    // summary's occurrences carry flat_ptr; releasing this lock
+    // publishes the (immutable) FlatDoc to lock-free readers.
     std::unique_lock<std::shared_mutex> lock(summary_mutex_);
-    summary_.AddDocument(local, id, flat_ptr);
+    summary_.AddDocument(local, id, *flat_ptr);
   }
+  // Publication is complete; only now may cached results keyed on the
+  // previous generation become invalid (SnapshotGenerations contract).
   shard.generation.fetch_add(1, std::memory_order_release);
   return id;
 }
@@ -399,12 +363,12 @@ Status XmlRepository::RestoreDocumentAt(DocId id,
   const size_t slot = id / shard_count;
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
   if (shard.slots.size() <= slot) shard.slots.resize(slot + 1);
-  if (shard.slots[slot].present()) {
+  if (shard.slots[slot] != nullptr) {
     return Status::InvalidArgument("restore: document id already occupied");
   }
   shard.miner.AddDocumentPaths(mined);
   shard.elements += local.element_count;
-  shard.slots[slot].flat = std::move(flat);
+  shard.slots[slot] = std::move(flat);
   return Status::Ok();
 }
 
@@ -441,7 +405,7 @@ Status XmlRepository::RestoreSummaryEntry(
       return Status::InvalidArgument(
           "summary restore: occurrence position out of range");
     }
-    stamped.push_back(PathOccurrence{doc, pos, nullptr, cached_flat});
+    stamped.push_back(PathOccurrence{doc, pos, cached_flat});
   }
   std::unique_lock<std::shared_mutex> lock(summary_mutex_);
   return summary_.LoadEntry(parent, name, std::move(docs),
@@ -454,22 +418,13 @@ void XmlRepository::WithSummary(
   fn(summary_);
 }
 
-const Node* XmlRepository::document(DocId id) const {
-  const size_t shard_count = shards_.size();
-  const Shard& shard = *shards_[id % shard_count];
-  std::shared_lock<std::shared_mutex> lock(shard.mutex);
-  const size_t slot = id / shard_count;
-  if (slot >= shard.slots.size()) return nullptr;
-  return shard.slots[slot].tree.get();
-}
-
 const FlatDoc* XmlRepository::flat_document(DocId id) const {
   const size_t shard_count = shards_.size();
   const Shard& shard = *shards_[id % shard_count];
   std::shared_lock<std::shared_mutex> lock(shard.mutex);
   const size_t slot = id / shard_count;
   if (slot >= shard.slots.size()) return nullptr;
-  return shard.slots[slot].flat.get();
+  return shard.slots[slot].get();
 }
 
 const std::vector<DocId>& XmlRepository::DocumentsWithPath(
@@ -501,7 +456,7 @@ std::vector<QueryMatch> XmlRepository::Query(const PathQuery& query) const {
 
   // One seed source, one executor. k is the first step carrying a
   // [val~…] predicate; the plan counters classify the query by this
-  // shape alone, so they are shard-, storage- and SIMD-invariant.
+  // shape alone, so they are shard- and SIMD-invariant.
   size_t k = 0;
   while (k < steps.size() && steps[k].val_contains.empty()) ++k;
   std::vector<QueryMatch> out;
@@ -590,14 +545,13 @@ std::vector<QueryMatch> XmlRepository::EvaluateSuffix(
     const PathQuery& query, size_t first_step,
     const std::vector<QueryMatch>& seeds) const {
   // Seeded documents are evaluated one at a time on the calling thread,
-  // without any lock: frozen documents and admitted trees are
-  // immutable. One scratch serves every document, so steady-state
-  // evaluation allocates nothing per document.
+  // without any lock: frozen documents are immutable. One scratch serves
+  // every document, so steady-state evaluation allocates nothing per
+  // document.
   std::vector<QueryMatch> out;
   FlatEvalScratch scratch;
   std::vector<uint32_t> frontier;
   uint64_t docs = 0;
-  uint64_t flat_docs = 0;
   for (size_t i = 0; i < seeds.size();) {
     const DocId doc = seeds[i].doc;
     size_t j = i + 1;
@@ -607,7 +561,7 @@ std::vector<QueryMatch> XmlRepository::EvaluateSuffix(
     // document's arrays now — the array addresses live in the struct,
     // and per-document work is shorter than a DRAM round trip.
     if (i + 8 < seeds.size()) __builtin_prefetch(seeds[i + 8].flat);
-    if (j < seeds.size() && seeds[j].flat != nullptr) {
+    if (j < seeds.size()) {
       const FlatDoc* ahead = seeds[j].flat;
       __builtin_prefetch(ahead->block_data());
       __builtin_prefetch(ahead->block_data() +
@@ -615,31 +569,18 @@ std::vector<QueryMatch> XmlRepository::EvaluateSuffix(
       __builtin_prefetch(ahead->text_offsets());
       __builtin_prefetch(ahead->lowered_pool().data());
     }
-    if (const FlatDoc* flat = seeds[i].flat) {
-      ++flat_docs;
-      frontier.clear();
-      for (size_t s = i; s < j; ++s) frontier.push_back(seeds[s].pos);
-      std::vector<uint32_t> result =
-          query.EvaluateFrom(*flat, std::move(frontier), first_step, scratch);
-      for (uint32_t e : result) {
-        out.push_back(QueryMatch{doc, e, nullptr, flat});
-      }
-      // EvaluateFrom consumes and returns the frontier buffer; moving it
-      // back recycles the capacity.
-      frontier = std::move(result);
-    } else {
-      std::vector<const Node*> nodes;
-      nodes.reserve(j - i);
-      for (size_t s = i; s < j; ++s) nodes.push_back(seeds[s].node);
-      for (const Node* node :
-           query.EvaluateFrom(std::move(nodes), first_step)) {
-        out.push_back(QueryMatch{doc, 0, node, nullptr});
-      }
-    }
+    const FlatDoc* flat = seeds[i].flat;
+    frontier.clear();
+    for (size_t s = i; s < j; ++s) frontier.push_back(seeds[s].pos);
+    std::vector<uint32_t> result =
+        query.EvaluateFrom(*flat, std::move(frontier), first_step, scratch);
+    for (uint32_t e : result) out.push_back(QueryMatch{doc, e, flat});
+    // EvaluateFrom consumes and returns the frontier buffer; moving it
+    // back recycles the capacity.
+    frontier = std::move(result);
     i = j;
   }
   fallback_walks_.Add(docs);
-  flat_scans_.Add(flat_docs);
   predicate_bytes_.Add(scratch.predicate_bytes_scanned());
   return out;
 }
@@ -675,7 +616,6 @@ obs::QueryStatsView XmlRepository::query_stats() const {
   view.index_hits = index_hits_.value();
   view.prefix_hits = prefix_hits_.value();
   view.fallback_walks = fallback_walks_.value();
-  view.flat_scans = flat_scans_.value();
   view.matches = matches_.value();
   view.predicate_bytes_scanned = predicate_bytes_.value();
   view.plan_summary = plan_summary_.value();

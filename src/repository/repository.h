@@ -20,36 +20,26 @@
 #include "xml/dtd.h"
 #include "xml/flat_doc.h"
 #include "xml/node.h"
-#include "xml/node_arena.h"
 
 namespace webre {
 
 /// One query hit: an element inside a stored document, identified by
-/// (doc, pos) plus a handle into whichever representation stores the
-/// document. `name()`/`val()` resolve lazily through that handle —
-/// keeping the match itself a 32-byte value the hot emit loops can
-/// stream — and view repository-owned storage (the frozen block, or
-/// the tree node), valid for the repository's lifetime.
+/// (doc, pos) plus the frozen document that stores it. `name()`/`val()`
+/// read that block lazily — keeping the match itself a 24-byte value
+/// the hot emit loops can stream — and view repository-owned storage,
+/// valid for the repository's lifetime.
 struct QueryMatch {
   DocId doc = 0;
   /// Pre-order index of the element among the document's elements —
-  /// the in-document order key. In flat mode, also the element's index
-  /// into `flat`.
+  /// the in-document order key and the element's index into `flat`.
   uint32_t pos = 0;
-  /// The matched tree node when the document is stored as a pointer
-  /// tree (freeze_flat = false); null for frozen documents.
-  const Node* node = nullptr;
-  /// The frozen document owning `pos`; null in pointer mode.
+  /// The frozen document owning `pos`.
   const FlatDoc* flat = nullptr;
 
   /// Interned element name.
-  NameId name() const {
-    return flat != nullptr ? flat->name(pos) : node->name_id();
-  }
+  NameId name() const { return flat->name(pos); }
   /// The element's `val` attribute (empty if absent).
-  std::string_view val() const {
-    return flat != nullptr ? flat->val(pos) : node->val();
-  }
+  std::string_view val() const { return flat->val(pos); }
 };
 
 /// Aggregate repository statistics.
@@ -59,8 +49,8 @@ struct RepositoryStats {
   /// Distinct label paths across all documents (the repository's Data
   /// Guide size).
   size_t distinct_paths = 0;
-  /// Total bytes of frozen FlatDoc blocks (0 with freeze_flat off) —
-  /// the steady-state document storage footprint.
+  /// Total bytes of frozen FlatDoc blocks — the steady-state document
+  /// storage footprint.
   size_t flat_bytes = 0;
 };
 
@@ -70,11 +60,6 @@ struct RepositoryOptions {
   /// More shards reduce Add contention; query results are identical
   /// for every value.
   size_t num_shards = 0;
-  /// Freeze documents into the flat representation at Add, releasing
-  /// the pointer tree (and its arena, when handed over). Disable
-  /// (CLI: --no-flat) to keep the pointer trees, e.g. when callers
-  /// need `document()` to return live Node trees.
-  bool freeze_flat = true;
 };
 
 /// The XML repository the pipeline feeds (§1: "the integration of topic
@@ -90,26 +75,21 @@ struct RepositoryOptions {
 /// concatenated in (doc, pos) order — and answers every query without
 /// touching any shard.
 ///
-/// Storage: with freeze_flat (the default) Add freezes each admitted
-/// tree into a FlatDoc — one contiguous read-only block per document —
-/// and releases the pointer tree and its NodeArena before taking any
-/// lock, so steady-state RSS is the flat blocks plus the indexes.
-/// Summary occurrences carry (pos, owning FlatDoc), making suffix
-/// evaluation lock-free index arithmetic. With freeze_flat off the
-/// pointer trees are kept and evaluated as before.
+/// Storage: Add freezes each admitted tree into a FlatDoc — one
+/// contiguous read-only block per document — and frees the tree before
+/// taking any lock, so the repository never holds a Node and
+/// steady-state RSS is the flat blocks plus the indexes. Summary
+/// occurrences carry (pos, owning FlatDoc), making suffix evaluation
+/// lock-free index arithmetic.
 ///
-/// Query execution is one seed source plus one executor (identical in
-/// flat and pointer mode; only the suffix evaluator differs). Let k be
-/// the first step carrying a `[val~…]` predicate:
+/// Query execution is one seed source plus one executor. Let k be the
+/// first step carrying a `[val~…]` predicate:
 ///  - no predicate: the summary trie is pattern-matched and the
 ///    matched paths' occurrence runs are the answer;
 ///  - otherwise steps [0, k] are pattern-matched on the trie and each
 ///    matched path's value column is swept once by the SIMD scanner;
 ///    the hits, bucketed by document, are the elements matching steps
-///    [0, k] in (doc, pos) order. When the matched paths cover the
-///    whole summary (`//*[val~…]`) in flat mode, each document's
-///    pre-lowered pool already is that column in (doc, pos) order and
-///    is swept instead;
+///    [0, k] in (doc, pos) order;
 ///  - steps after k are evaluated per seeded document by
 ///    PathQuery::EvaluateFrom on the calling thread.
 /// Every query increments exactly one query.plan.* counter, defined by
@@ -119,13 +99,12 @@ struct RepositoryOptions {
 /// `//` or `*` prefix). query.index_hits counts queries answered
 /// without per-document evaluation, query.prefix_hits those with an
 /// EvaluateFrom suffix; query.fallback_walks counts the documents that
-/// suffix evaluated and query.flat_scans the subset evaluated through a
-/// FlatDoc (0 in pointer mode). Predicate work — column bytes swept
-/// plus the suffix evaluator's charge — is query.predicate_bytes_scanned.
+/// suffix evaluated. Predicate work — column bytes swept plus the
+/// suffix evaluator's charge — is query.predicate_bytes_scanned.
 /// Every counter depends only on the corpus and the query, never on
 /// sharding, threading or the SIMD level, and all queries return
 /// matches sorted by (doc id, document order), byte-identical across
-/// shard counts, both storage modes and every SIMD level.
+/// shard counts and every SIMD level.
 ///
 /// Lock order: shard before summary, never the reverse. (This is why
 /// occurrences carry the FlatDoc pointer: seeding runs under the
@@ -154,18 +133,11 @@ class XmlRepository {
   /// schema-mining trie and updating the structural summary. Safe to
   /// call concurrently with other Add and Query calls. With a DTD set,
   /// a non-conforming document is rejected (FailedPrecondition) listing
-  /// the first violation. With freeze_flat the tree is frozen into a
-  /// FlatDoc and released before admission completes.
+  /// the first violation. The tree is frozen into a FlatDoc and freed
+  /// before admission completes; a tree carved from a NodeArena is
+  /// freed into it, so the caller keeps that arena alive across the
+  /// call and may drop it as soon as Add returns.
   StatusOr<DocId> Add(std::unique_ptr<Node> document);
-
-  /// Same, handing over the arena the tree was allocated from (the
-  /// pipeline's per-document NodeArena). In flat mode both the tree and
-  /// the arena are released at freeze time — this is how ingest returns
-  /// conversion memory instead of pinning it for the repository's
-  /// lifetime. In pointer mode the arena is retained alongside the
-  /// tree (the arena must outlive its nodes). Null arena = heap tree.
-  StatusOr<DocId> Add(std::unique_ptr<Node> document,
-                      std::shared_ptr<NodeArena> arena);
 
   // ---- Storage-layer surface (src/storage) ----
   //
@@ -175,8 +147,7 @@ class XmlRepository {
   // admission, and DurableRepository::Add validates before freezing.
 
   /// Admits an already-frozen document: full admission including the
-  /// structural summary, identical in every observable way to Add()
-  /// followed by freezing. `mined` must be ExtractPaths of the same
+  /// structural summary, identical in every observable way to Add(). `mined` must be ExtractPaths of the same
   /// document (the flat overload produces it). Used by durable Add and
   /// WAL replay. Thread-safe like Add.
   StatusOr<DocId> AddFrozen(std::unique_ptr<FlatDoc> flat,
@@ -234,13 +205,8 @@ class XmlRepository {
   /// §15). `out` is resized to num_shards().
   void SnapshotGenerations(std::vector<uint64_t>& out) const;
 
-  /// Borrowed pointer to a stored document's tree; null for unknown
-  /// ids — and for every document admitted with freeze_flat, where the
-  /// tree no longer exists (use flat_document()).
-  const Node* document(DocId id) const;
-
   /// Borrowed pointer to a stored document's frozen form; null for
-  /// unknown ids and in pointer mode.
+  /// unknown ids.
   const FlatDoc* flat_document(DocId id) const;
 
   /// Documents containing the exact root-emanating label path,
@@ -269,23 +235,11 @@ class XmlRepository {
   obs::QueryStatsView query_stats() const;
 
  private:
-  /// One stored document in exactly one representation: `flat` in flat
-  /// mode, `tree` (plus its arena, when handed over) in pointer mode.
-  /// Both null = transient hole while a lower id's Add is in flight.
-  struct StoredDoc {
-    /// Declared before `tree`: the arena must outlive the nodes carved
-    /// from it.
-    std::shared_ptr<NodeArena> arena;
-    std::unique_ptr<Node> tree;
-    std::unique_ptr<FlatDoc> flat;
-
-    bool present() const { return tree != nullptr || flat != nullptr; }
-  };
-
   struct Shard {
     mutable std::shared_mutex mutex;
-    /// Documents of this shard; slot = id / num_shards.
-    std::vector<StoredDoc> slots;
+    /// Documents of this shard; slot = id / num_shards. Null = a
+    /// transient hole while a lower id's Add is in flight.
+    std::vector<std::unique_ptr<FlatDoc>> slots;
     /// Schema-mining trie over this shard's documents, fed at Add.
     FrequentPathMiner miner;
     /// Element count, maintained incrementally at Add.
@@ -295,7 +249,7 @@ class XmlRepository {
     std::atomic<uint64_t> generation{0};
   };
 
-  /// Shared tail of AddFrozen/RestoreDocument: indexes, feeds the
+  /// Shared tail of Add/AddFrozen/RestoreDocument: indexes, feeds the
   /// shard miner and publishes the frozen document (and, when
   /// `feed_summary`, the structural summary).
   DocId AdmitFrozen(std::unique_ptr<FlatDoc> flat, const DocumentPaths& mined,
@@ -306,8 +260,7 @@ class XmlRepository {
   std::vector<QueryMatch> QuerySummaryRuns(const PathQuery& query) const;
   /// The elements matching steps [0, k] (k = the first predicate step),
   /// in (doc, pos) order, from the value columns of the paths steps
-  /// [0, k] match — or the document pools when those cover the whole
-  /// summary.
+  /// [0, k] match.
   std::vector<QueryMatch> SeedFromColumns(const PathQuery& query,
                                           size_t k) const;
   /// Evaluates steps [first_step, …) from `seeds` (steps
@@ -325,13 +278,10 @@ class XmlRepository {
   mutable std::shared_mutex summary_mutex_;
   PathIndex summary_;
 
-  bool freeze_flat_ = true;
-
   mutable obs::Counter queries_;
   mutable obs::Counter index_hits_;
   mutable obs::Counter prefix_hits_;
   mutable obs::Counter fallback_walks_;
-  mutable obs::Counter flat_scans_;
   mutable obs::Counter matches_;
   mutable obs::Counter predicate_bytes_;
   mutable obs::Counter plan_summary_;

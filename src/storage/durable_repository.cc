@@ -301,8 +301,7 @@ Status DurableRepository::Recover() {
   return Status::Ok();
 }
 
-StatusOr<DocId> DurableRepository::Add(std::unique_ptr<Node> document,
-                                       std::shared_ptr<NodeArena> arena) {
+StatusOr<DocId> DurableRepository::Add(std::unique_ptr<Node> document) {
   if (document == nullptr || !document->is_element()) {
     return Status::InvalidArgument("document root must be an element");
   }
@@ -320,7 +319,6 @@ StatusOr<DocId> DurableRepository::Add(std::unique_ptr<Node> document,
   DocumentPaths mined = ExtractPaths(*document);
   std::unique_ptr<FlatDoc> flat = FlatDoc::Freeze(*document);
   document.reset();
-  arena.reset();
 
   std::shared_lock<std::shared_mutex> checkpoint_lock(checkpoint_mutex_);
   auto id_or = repo_->AddFrozen(std::move(flat), mined);

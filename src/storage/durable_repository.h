@@ -13,7 +13,6 @@
 #include "storage/wal.h"
 #include "util/status.h"
 #include "xml/node.h"
-#include "xml/node_arena.h"
 
 namespace webre {
 namespace storage {
@@ -68,9 +67,9 @@ class DurableRepository {
 
   /// Validating, durable admission: DTD check (if the repository has
   /// one), freeze, index, WAL append — the document is on the log (at
-  /// the configured sync level) before the id is returned.
-  StatusOr<DocId> Add(std::unique_ptr<Node> document,
-                      std::shared_ptr<NodeArena> arena = nullptr);
+  /// the configured sync level) before the id is returned. The tree is
+  /// freed at freeze time, as XmlRepository::Add frees it.
+  StatusOr<DocId> Add(std::unique_ptr<Node> document);
 
   /// Writes a fresh snapshot (temp + fsync + atomic rename) and
   /// truncates every WAL. On return the directory's state is equivalent

@@ -60,27 +60,13 @@ std::string BuildNamesSection(size_t name_count) {
 std::string BuildDocsSection(const XmlRepository& repo) {
   const size_t doc_count = repo.size();
 
-  // Gather every document's flat form, freezing pointer-mode trees on
-  // the fly (the frozen copies live only for the duration of the
-  // build; the repository itself is untouched).
-  std::vector<std::unique_ptr<FlatDoc>> frozen;
-  std::vector<const FlatDoc*> docs(doc_count, nullptr);
-  for (DocId id = 0; id < doc_count; ++id) {
-    if (const FlatDoc* flat = repo.flat_document(id)) {
-      docs[id] = flat;
-    } else if (const Node* tree = repo.document(id)) {
-      frozen.push_back(FlatDoc::Freeze(*tree));
-      docs[id] = frozen.back().get();
-    }
-  }
-
   std::string out;
   PutU64(out, doc_count);
   const size_t table_start = out.size();
   out.append(doc_count * 24, '\0');  // filled below
   PadTo(out, 8);
   for (DocId id = 0; id < doc_count; ++id) {
-    const FlatDoc* doc = docs[id];
+    const FlatDoc* doc = repo.flat_document(id);
     PadTo(out, 8);
     const uint64_t block_off = out.size();
     uint64_t block_bytes = 0;

@@ -61,10 +61,9 @@ inline constexpr uint32_t kSectionSummary = 3;
 /// the "generation" both snapshot and WAL headers carry.
 uint64_t SeedVocabularyHash();
 
-/// Serializes the whole repository into snapshot-format bytes.
-/// Documents stored as pointer trees (freeze_flat off) are frozen on
-/// the fly — a snapshot always carries flat blocks. The repository must
-/// be quiescent or externally locked against Add.
+/// Serializes the whole repository into snapshot-format bytes: the
+/// stored FlatDoc blocks verbatim, plus the names and the summary. The
+/// repository must be quiescent or externally locked against Add.
 std::string BuildSnapshotImage(const XmlRepository& repo);
 
 /// Writes `image` to `<dir>/snapshot.webre` crash-safely: temp file,

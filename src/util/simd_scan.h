@@ -9,9 +9,9 @@
 namespace webre {
 
 /// Vectorized case-insensitive substring search — the one matcher behind
-/// every `[val~"…"]` predicate (FlatDoc::ValContainsLowered over the
-/// pre-lowered text pool, util ContainsLowered over raw node values) and
-/// the repository's full-pool sweeps (repository/predicate.h).
+/// every `[val~"…"]` predicate (the value-column scans,
+/// FlatDoc::ValContainsLowered over the pre-lowered text pool) and the
+/// repository's full-pool sweeps (repository/predicate.h).
 ///
 /// The implementation is picked once per process, mirroring the CRC32C
 /// dispatch (storage/crc32c.cc): cpuid decides between scalar, SSE2 and

@@ -1,7 +1,5 @@
 #include "util/strings.h"
 
-#include "util/simd_scan.h"
-
 namespace webre {
 
 std::string AsciiLower(std::string_view s) {
@@ -47,14 +45,6 @@ size_t FindIgnoreCase(std::string_view haystack, std::string_view needle,
 
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
   return FindIgnoreCase(haystack, needle, 0) != std::string_view::npos;
-}
-
-bool ContainsLowered(std::string_view haystack, std::string_view lowered) {
-  // One matcher for every lowered-needle search in the system: the
-  // runtime-dispatched SIMD scanner (util/simd_scan.h). FlatDoc's
-  // ValContainsLowered routes through the same kernel, so flat and
-  // pointer ("--no-flat") storage modes share one tested code path.
-  return FindLowered(haystack, lowered) != std::string_view::npos;
 }
 
 bool ContainsWordIgnoreCase(std::string_view haystack,

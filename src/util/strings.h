@@ -47,12 +47,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// needle matches everywhere.
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
-/// ContainsIgnoreCase for a needle that is already ASCII-lowercase —
-/// the hot-loop half of the search, with the needle's lowering hoisted
-/// out. Callers that test one predicate against many values (the query
-/// serving layer) lower the needle once via AsciiLower and reuse it.
-bool ContainsLowered(std::string_view haystack, std::string_view lowered);
-
 /// True iff `haystack` contains `needle` ignoring ASCII case and only at
 /// word boundaries (neighbouring characters must not be alphanumeric).
 /// E.g. "BS" matches in "BS, Computer Science" but not in "JOBS".

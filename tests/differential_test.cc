@@ -47,7 +47,7 @@ class QueryDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(QueryDifferential, IndexPrunedQueryEqualsBruteForce) {
   Fixture& f = Shared();
-  XmlRepository repo;  // default: freeze_flat on
+  XmlRepository repo;
   std::vector<std::unique_ptr<Node>> kept;
   std::vector<std::map<const Node*, uint32_t>> order;
   for (size_t i = 0; i < 25; ++i) {
@@ -59,12 +59,15 @@ TEST_P(QueryDifferential, IndexPrunedQueryEqualsBruteForce) {
   auto parsed = PathQuery::Parse(GetParam());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
 
-  // Brute force: pointer-tree evaluation of every retained clone.
+  // Brute force: the naive evaluator over every retained clone, in
+  // document order.
   std::vector<std::pair<size_t, uint32_t>> brute;
   for (size_t id = 0; id < kept.size(); ++id) {
-    for (const Node* node : parsed->Evaluate(*kept[id])) {
-      brute.emplace_back(id, order[id].at(node));
+    std::set<uint32_t> positions;
+    for (const Node* node : oracle::NaiveEvaluate(*parsed, *kept[id])) {
+      positions.insert(order[id].at(node));
     }
+    for (uint32_t pos : positions) brute.emplace_back(id, pos);
   }
   // Repository path: flat evaluation over frozen documents, possibly
   // pruned via the label-path index.
@@ -209,64 +212,43 @@ PathQuery RandomQuery(Rng& rng) {
 }
 
 TEST(RepositoryDifferential, RandomQueriesAgreeWithNaiveEvaluation) {
-  // Three independent evaluators over identical corpora: the frozen
-  // FlatDoc repository (default), the pointer-tree repository
-  // (--no-flat), and the naive seed algorithm. All must produce the
-  // same (doc, element pre-order position) sequences.
+  // Two independent evaluators over identical corpora: the frozen
+  // FlatDoc repository and the naive seed algorithm over retained
+  // clones. Both must produce the same (doc, element pre-order
+  // position) sequences, at 1, 2 and 3 shards.
   Rng rng(20260806);
   for (size_t round = 0; round < 3; ++round) {
     RepositoryOptions options;
     options.num_shards = 1 + round;  // 1, 2, 3
-    XmlRepository flat_repo(options);
-    RepositoryOptions ptr_options = options;
-    ptr_options.freeze_flat = false;
-    XmlRepository ptr_repo(ptr_options);
+    XmlRepository repo(options);
+    std::vector<std::unique_ptr<Node>> kept;
+    std::vector<std::map<const Node*, uint32_t>> order;
     for (size_t i = 0; i < 30; ++i) {
       auto doc = RandomTree(rng);
-      ASSERT_TRUE(ptr_repo.Add(doc->Clone()).ok());
-      ASSERT_TRUE(flat_repo.Add(std::move(doc)).ok());
-    }
-    std::vector<std::map<const Node*, uint32_t>> order;
-    for (size_t id = 0; id < ptr_repo.size(); ++id) {
-      order.push_back(oracle::ElementOrderIndex(*ptr_repo.document(id)));
+      kept.push_back(doc->Clone());
+      order.push_back(oracle::ElementOrderIndex(*kept.back()));
+      ASSERT_TRUE(repo.Add(std::move(doc)).ok());
     }
     for (size_t q = 0; q < 40; ++q) {
       const PathQuery query = RandomQuery(rng);
       // Naive reference, canonicalized to (doc, pre-order position).
       std::vector<std::pair<size_t, uint32_t>> expected;
-      for (size_t id = 0; id < ptr_repo.size(); ++id) {
+      for (size_t id = 0; id < kept.size(); ++id) {
         std::set<uint32_t> positions;
-        for (const Node* node :
-             oracle::NaiveEvaluate(query, *ptr_repo.document(id))) {
+        for (const Node* node : oracle::NaiveEvaluate(query, *kept[id])) {
           positions.insert(order[id].at(node));
         }
         for (uint32_t pos : positions) expected.emplace_back(id, pos);
       }
-      // Both repositories must return exactly this sequence: the same
+      // The repository must return exactly this sequence: the same
       // match set, deduplicated, in (doc, document order) order.
-      std::vector<std::pair<size_t, uint32_t>> flat_got;
-      for (const QueryMatch& m : flat_repo.Query(query)) {
-        flat_got.emplace_back(m.doc, m.pos);
+      std::vector<std::pair<size_t, uint32_t>> got;
+      for (const QueryMatch& m : repo.Query(query)) {
+        got.emplace_back(m.doc, m.pos);
       }
-      EXPECT_EQ(expected, flat_got)
-          << "flat, round " << round << ": " << query.ToString();
-      std::vector<std::pair<size_t, uint32_t>> ptr_got;
-      for (const QueryMatch& m : ptr_repo.Query(query)) {
-        ptr_got.emplace_back(m.doc, order[m.doc].at(m.node));
-      }
-      EXPECT_EQ(expected, ptr_got)
-          << "pointer, round " << round << ": " << query.ToString();
+      EXPECT_EQ(expected, got)
+          << "round " << round << ": " << query.ToString();
     }
-    // Plan selection and per-document evaluation counts are a function
-    // of corpus and queries, not of the storage representation.
-    const obs::QueryStatsView fs = flat_repo.query_stats();
-    const obs::QueryStatsView ps = ptr_repo.query_stats();
-    EXPECT_EQ(fs.queries, ps.queries);
-    EXPECT_EQ(fs.index_hits, ps.index_hits);
-    EXPECT_EQ(fs.prefix_hits, ps.prefix_hits);
-    EXPECT_EQ(fs.fallback_walks, ps.fallback_walks);
-    EXPECT_EQ(fs.matches, ps.matches);
-    EXPECT_EQ(ps.flat_scans, 0u);  // pointer mode never uses FlatDoc
   }
 }
 
@@ -305,7 +287,6 @@ TEST(RepositoryDifferential, ShardCountInvariantResultsAndCounters) {
     EXPECT_EQ(stats[0].index_hits, stats[i].index_hits);
     EXPECT_EQ(stats[0].prefix_hits, stats[i].prefix_hits);
     EXPECT_EQ(stats[0].fallback_walks, stats[i].fallback_walks);
-    EXPECT_EQ(stats[0].flat_scans, stats[i].flat_scans);
     EXPECT_EQ(stats[0].matches, stats[i].matches);
     EXPECT_EQ(stats[0].predicate_bytes_scanned,
               stats[i].predicate_bytes_scanned);

@@ -4,8 +4,8 @@
 // Test oracle: the naive path-query evaluator (the seed algorithm —
 // string name tests, ContainsIgnoreCase predicates, recursive descent
 // and linear-scan dedup) that every repository query plan is checked
-// against, plus the element numbering that canonicalizes pointer-tree
-// matches to (doc, pos).
+// against, plus the element numbering that canonicalizes its node
+// matches to the (doc, pos) coordinates repository matches carry.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,8 +20,8 @@ namespace webre {
 namespace oracle {
 
 // Pre-order position among ELEMENTS only — the same numbering
-// CollectLocalPaths and FlatDoc::Freeze assign, so pointer-tree matches
-// canonicalize to the (doc, pos) coordinates flat matches carry.
+// FlatDoc::Freeze assigns, so tree matches canonicalize to the
+// (doc, pos) coordinates repository matches carry.
 inline std::map<const Node*, uint32_t> ElementOrderIndex(const Node& root) {
   std::map<const Node*, uint32_t> index;
   uint32_t n = 0;

@@ -1,8 +1,8 @@
 // Value-column tests: every summary path's `column` / `column_off` must
 // be the concatenated lowered values of its occurrences under any
 // arrival order, and the column-seeded query executor must return
-// exactly the naive evaluator's (doc, pos) sequence — flat and pointer
-// storage, one and four shards — on the edge cases a concatenated
+// exactly the naive evaluator's (doc, pos) sequence — one and four
+// shards — on the edge cases a concatenated
 // column invites: hits straddling two values, repeated hits inside one
 // value, empty values, needles longer than any value or equal to one.
 
@@ -29,8 +29,7 @@ using Canonical = std::vector<std::pair<size_t, uint32_t>>;
 
 // The value of one occurrence as the column should hold it.
 std::string LoweredVal(const PathOccurrence& occ) {
-  return AsciiLower(occ.flat != nullptr ? occ.flat->val(occ.pos)
-                                        : occ.node->val());
+  return AsciiLower(occ.flat->val(occ.pos));
 }
 
 // Every entry's column is the concatenation of its occurrences' lowered
@@ -96,21 +95,17 @@ std::unique_ptr<Node> Doc(std::vector<std::string> a_vals,
   return root;
 }
 
-// Four repositories over the same documents: flat and pointer storage,
-// one and four shards. Queries are checked against the naive evaluator
-// over the retained originals.
+// Two repositories over the same documents: one and four shards.
+// Queries are checked against the naive evaluator over the retained
+// originals.
 class ColumnRepos {
  public:
   ColumnRepos() {
-    for (const bool flat : {true, false}) {
-      for (const size_t shards : {size_t{1}, size_t{4}}) {
-        RepositoryOptions options;
-        options.num_shards = shards;
-        options.freeze_flat = flat;
-        repos_.push_back(std::make_unique<XmlRepository>(options));
-        names_.push_back(std::string(flat ? "flat" : "pointer") + "/" +
-                         std::to_string(shards) + " shards");
-      }
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      RepositoryOptions options;
+      options.num_shards = shards;
+      repos_.push_back(std::make_unique<XmlRepository>(options));
+      names_.push_back(std::to_string(shards) + " shards");
     }
   }
 
@@ -142,13 +137,7 @@ class ColumnRepos {
       const XmlRepository& repo = *repos_[r];
       Canonical got;
       for (const QueryMatch& m : repo.Query(query)) {
-        if (m.flat != nullptr) {
-          got.emplace_back(m.doc, m.pos);
-        } else {
-          // Pointer matches canonicalize through the element numbering
-          // of the repository's own tree (a clone of the original).
-          got.emplace_back(m.doc, PointerPos(repo, m));
-        }
+        got.emplace_back(m.doc, m.pos);
       }
       EXPECT_EQ(got, expected) << names_[r] << ": " << text;
     }
@@ -159,12 +148,6 @@ class ColumnRepos {
   size_t size() const { return repos_.size(); }
 
  private:
-  static uint32_t PointerPos(const XmlRepository& repo, const QueryMatch& m) {
-    const std::map<const Node*, uint32_t> order =
-        oracle::ElementOrderIndex(*repo.document(m.doc));
-    return order.at(m.node);
-  }
-
   std::vector<std::unique_ptr<XmlRepository>> repos_;
   std::vector<std::string> names_;
   std::vector<std::unique_ptr<Node>> docs_;
@@ -304,37 +287,31 @@ TEST(QueryColumn, RandomCorporaAgreeWithNaiveEvaluation) {
   }
 }
 
-// Columns spliced under out-of-order arrival: every AddDocument call,
-// in pointer and in flat form, must leave each entry's column equal to
-// its occurrences' concatenated lowered values.
+// Columns spliced under out-of-order arrival: every AddDocument call
+// must leave each entry's column equal to its occurrences' concatenated
+// lowered values.
 TEST(QueryColumn, OutOfOrderAddDocumentKeepsColumnsConsistent) {
   Rng rng(1302);
-  std::vector<std::unique_ptr<Node>> docs;
   std::vector<std::unique_ptr<FlatDoc>> flats;
   for (size_t i = 0; i < 24; ++i) {
-    docs.push_back(RandomTree(rng));
-    flats.push_back(FlatDoc::Freeze(*docs.back()));
+    flats.push_back(FlatDoc::Freeze(*RandomTree(rng)));
   }
-  std::vector<DocId> ids(docs.size());
+  std::vector<DocId> ids(flats.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
   // A fixed shuffle that inserts at the front, the back and the middle.
   for (size_t i = ids.size(); i > 1; --i) {
     std::swap(ids[i - 1], ids[rng.NextBelow(i)]);
   }
-  PathIndex pointer_index;
   PathIndex flat_index;
   for (DocId id : ids) {
-    pointer_index.AddDocument(CollectLocalPaths(*docs[id]), id);
-    flat_index.AddDocument(CollectLocalPaths(*flats[id]), id,
-                           flats[id].get());
-    ExpectColumnsConsistent(pointer_index);
+    flat_index.AddDocument(CollectLocalPaths(*flats[id]), id, *flats[id]);
     ExpectColumnsConsistent(flat_index);
     if (HasFailure()) return;
   }
   // In-order arrival and restore (LoadEntry) build the same columns.
   PathIndex in_order;
-  for (DocId id = 0; id < docs.size(); ++id) {
-    in_order.AddDocument(CollectLocalPaths(*flats[id]), id, flats[id].get());
+  for (DocId id = 0; id < flats.size(); ++id) {
+    in_order.AddDocument(CollectLocalPaths(*flats[id]), id, *flats[id]);
   }
   PathIndex loaded;
   for (uint32_t id = 0; id < in_order.path_count(); ++id) {

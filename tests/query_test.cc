@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "repository/query.h"
+#include "xml/flat_doc.h"
+#include "xml/node.h"
 
 namespace webre {
 namespace {
 
 // resume(NAME, EDUCATION(DATE(INSTITUTION, DEGREE), DATE(INSTITUTION)),
 //        SKILLS(LANGUAGE, LANGUAGE))
+// Pre-order positions: resume 0, NAME 1, EDUCATION 2, DATE 3,
+// INSTITUTION 4, DEGREE 5, DATE 6, INSTITUTION 7, SKILLS 8,
+// LANGUAGE 9, LANGUAGE 10.
 std::unique_ptr<Node> SampleDoc() {
   auto root = Node::MakeElement("resume");
   root->AddElement("NAME")->set_val("Resume of Jane Doe");
@@ -22,6 +31,23 @@ std::unique_ptr<Node> SampleDoc() {
   skills->AddElement("LANGUAGE")->set_val("C++");
   skills->AddElement("LANGUAGE")->set_val("Java");
   return root;
+}
+
+// One match: (pre-order position, element name, val).
+using Hit = std::tuple<uint32_t, std::string, std::string>;
+
+// Evaluates `text` over the frozen sample document.
+std::vector<Hit> Eval(const char* text) {
+  auto q = PathQuery::Parse(text);
+  EXPECT_TRUE(q.ok()) << q.status();
+  if (!q.ok()) return {};
+  const auto flat = FlatDoc::Freeze(*SampleDoc());
+  std::vector<Hit> hits;
+  for (uint32_t e : q->Evaluate(*flat)) {
+    hits.emplace_back(e, std::string(flat->name_view(e)),
+                      std::string(flat->val(e)));
+  }
+  return hits;
 }
 
 TEST(QueryParseTest, SimpleAbsolutePath) {
@@ -59,78 +85,61 @@ TEST(QueryParseTest, Errors) {
 }
 
 TEST(QueryEvalTest, ExactPath) {
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("/resume/EDUCATION/DATE");
-  auto hits = q->Evaluate(*doc);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0]->val(), "June 1996");
-  EXPECT_EQ(hits[1]->val(), "May 1998");
+  EXPECT_EQ(Eval("/resume/EDUCATION/DATE"),
+            (std::vector<Hit>{{3, "DATE", "June 1996"},
+                              {6, "DATE", "May 1998"}}));
 }
 
 TEST(QueryEvalTest, RootMismatchGivesNothing) {
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("/cv/EDUCATION");
-  EXPECT_TRUE(q->Evaluate(*doc).empty());
+  EXPECT_TRUE(Eval("/cv/EDUCATION").empty());
 }
 
 TEST(QueryEvalTest, DescendantAnywhere) {
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("//INSTITUTION");
-  auto hits = q->Evaluate(*doc);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0]->val(), "Brockhaven University");
+  EXPECT_EQ(Eval("//INSTITUTION"),
+            (std::vector<Hit>{{4, "INSTITUTION", "Brockhaven University"},
+                              {7, "INSTITUTION", "Eastfield College"}}));
 }
 
 TEST(QueryEvalTest, DescendantUnderStep) {
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("/resume/EDUCATION//INSTITUTION");
-  EXPECT_EQ(q->Evaluate(*doc).size(), 2u);
-  auto q2 = PathQuery::Parse("/resume/SKILLS//INSTITUTION");
-  EXPECT_TRUE(q2->Evaluate(*doc).empty());
+  const std::vector<Hit> hits = Eval("/resume/EDUCATION//INSTITUTION");
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(std::get<0>(hits[0]), 4u);
+  EXPECT_EQ(std::get<0>(hits[1]), 7u);
+  EXPECT_TRUE(Eval("/resume/SKILLS//INSTITUTION").empty());
 }
 
 TEST(QueryEvalTest, WildcardStep) {
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("/resume/*");
-  EXPECT_EQ(q->Evaluate(*doc).size(), 3u);  // NAME, EDUCATION, SKILLS
+  const std::vector<Hit> hits = Eval("/resume/*");
+  ASSERT_EQ(hits.size(), 3u);
+  EXPECT_EQ(hits[0], (Hit{1, "NAME", "Resume of Jane Doe"}));
+  EXPECT_EQ(hits[1], (Hit{2, "EDUCATION", ""}));
+  EXPECT_EQ(hits[2], (Hit{8, "SKILLS", ""}));
 }
 
 TEST(QueryEvalTest, ValPredicateFilters) {
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("//DATE[val~\"1996\"]");
-  auto hits = q->Evaluate(*doc);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0]->val(), "June 1996");
+  EXPECT_EQ(Eval("//DATE[val~\"1996\"]"),
+            (std::vector<Hit>{{3, "DATE", "June 1996"}}));
 }
 
 TEST(QueryEvalTest, ValPredicateCaseInsensitive) {
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("//LANGUAGE[val~\"java\"]");
-  EXPECT_EQ(q->Evaluate(*doc).size(), 1u);
+  EXPECT_EQ(Eval("//LANGUAGE[val~\"java\"]"),
+            (std::vector<Hit>{{10, "LANGUAGE", "Java"}}));
 }
 
 TEST(QueryEvalTest, DescendantSelfIncludesRoot) {
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("//resume");
-  ASSERT_EQ(q->Evaluate(*doc).size(), 1u);
-  EXPECT_EQ(q->Evaluate(*doc)[0], doc.get());
+  EXPECT_EQ(Eval("//resume"), (std::vector<Hit>{{0, "resume", ""}}));
 }
 
 TEST(QueryEvalTest, NoDuplicatesUnderOverlappingFrontiers) {
   // //*//LANGUAGE could reach each LANGUAGE via several ancestors.
-  auto doc = SampleDoc();
-  auto q = PathQuery::Parse("//*//LANGUAGE");
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->Evaluate(*doc).size(), 2u);
+  EXPECT_EQ(Eval("//*//LANGUAGE"),
+            (std::vector<Hit>{{9, "LANGUAGE", "C++"},
+                              {10, "LANGUAGE", "Java"}}));
 }
 
 TEST(QueryEvalTest, PredicateOnIntermediateStep) {
-  auto doc = SampleDoc();
-  auto q =
-      PathQuery::Parse("/resume/EDUCATION/DATE[val~\"May\"]/INSTITUTION");
-  auto hits = q->Evaluate(*doc);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0]->val(), "Eastfield College");
+  EXPECT_EQ(Eval("/resume/EDUCATION/DATE[val~\"May\"]/INSTITUTION"),
+            (std::vector<Hit>{{7, "INSTITUTION", "Eastfield College"}}));
 }
 
 }  // namespace

@@ -34,28 +34,17 @@ std::unique_ptr<Node> MakeDoc(size_t index) {
   return root;
 }
 
-// Parameterized over the storage mode: true freezes documents into
-// FlatDocs at Add (the TSan proof that freeze + release + lock-free
-// occurrence publication is race-free), false keeps pointer trees.
-class RepositoryConcurrencyTest : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(StorageModes, RepositoryConcurrencyTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Flat" : "PointerTree";
-                         });
-
 // Readers hammer every query shape (no predicate, final-step predicate,
 // seeded suffix, every column) while writers keep admitting documents —
-// and so splicing occurrences and values into the summary's columns,
-// sometimes out of id order. A result must always be internally
+// freezing them, freeing their trees, and splicing occurrences and
+// values into the summary's columns, sometimes out of id order. Under
+// TSan this is the proof that freeze + release + lock-free occurrence
+// publication is race-free. A result must always be internally
 // consistent: sorted by document id with every match carrying a valid
-// element for the active storage mode.
-TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
-  const bool freeze = GetParam();
+// element.
+TEST(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
   RepositoryOptions options;
   options.num_shards = 4;
-  options.freeze_flat = freeze;
   XmlRepository repo(options);
   for (size_t i = 0; i < 32; ++i) {
     ASSERT_TRUE(repo.Add(MakeDoc(i)).ok());
@@ -96,7 +85,7 @@ TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
   };
   constexpr size_t kQueryCount = sizeof(kQueries) / sizeof(kQueries[0]);
   for (size_t r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&repo, &stop, &failures, freeze, r] {
+    threads.emplace_back([&repo, &stop, &failures, r] {
       size_t round = 0;
       while (!stop.load(std::memory_order_acquire)) {
         const char* text = kQueries[(r + round++) % kQueryCount];
@@ -107,14 +96,11 @@ TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
         }
         DocId last = 0;
         for (const QueryMatch& m : *matches) {
-          // Flat matches carry the frozen block and no node; pointer
-          // matches the reverse. Every match must name a real element
-          // either way (name() reads through the handle, so this also
+          // Every match carries its frozen block and must name a real
+          // element (name() reads through the block, so this also
           // exercises the publication happens-before under TSan).
-          const bool bad_handle =
-              freeze ? (m.node != nullptr || m.flat == nullptr)
-                     : (m.node == nullptr || m.flat != nullptr);
-          if (m.doc < last || bad_handle || m.name() == kInvalidNameId) {
+          if (m.doc < last || m.flat == nullptr ||
+              m.name() == kInvalidNameId) {
             failures.fetch_add(1);
             break;
           }
@@ -139,23 +125,16 @@ TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
   ASSERT_TRUE(dates.ok());
   EXPECT_EQ(dates->size(), repo.size());
   for (size_t i = 0; i < repo.size(); ++i) {
-    if (freeze) {
-      EXPECT_NE(repo.flat_document(i), nullptr) << "doc " << i;
-      EXPECT_EQ(repo.document(i), nullptr) << "doc " << i;
-    } else {
-      EXPECT_NE(repo.document(i), nullptr) << "doc " << i;
-    }
+    EXPECT_NE(repo.flat_document(i), nullptr) << "doc " << i;
   }
   RepositoryOptions serial_options;
   serial_options.num_shards = 1;
-  serial_options.freeze_flat = freeze;
   XmlRepository serial(serial_options);
   for (size_t id = 0; id < repo.size(); ++id) {
     ASSERT_EQ(serial.Add(MakeDoc(index_of[id])).value(), id);
   }
-  // (doc, pos, name, val): pos is the element's pre-order index for flat
-  // matches and for summary matches in pointer mode, identical in both
-  // repositories either way.
+  // (doc, pos, name, val): pos is the element's pre-order index,
+  // identical in both repositories.
   auto answer = [](const XmlRepository& r, const char* text) {
     std::vector<std::tuple<DocId, uint32_t, NameId, std::string>> out;
     const std::vector<QueryMatch> matches = r.Query(text).value();
@@ -176,10 +155,9 @@ TEST_P(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
 // DiscoverSchema and Stats may race with Add: both take the same shard
 // locks, so they must always see a prefix-consistent corpus and never
 // tear a trie mid-merge.
-TEST_P(RepositoryConcurrencyTest, DiscoverAndStatsDuringConcurrentAdds) {
+TEST(RepositoryConcurrencyTest, DiscoverAndStatsDuringConcurrentAdds) {
   RepositoryOptions options;
   options.num_shards = 3;
-  options.freeze_flat = GetParam();
   XmlRepository repo(options);
   for (size_t i = 0; i < 16; ++i) {
     ASSERT_TRUE(repo.Add(MakeDoc(i)).ok());

@@ -22,8 +22,7 @@ std::unique_ptr<Node> SmallDoc(const std::string& date_val) {
 }
 
 TEST(RepositoryTest, AddAndRetrieve) {
-  // Default mode freezes at Add: the flat form is retrievable, the
-  // pointer tree is gone.
+  // Add freezes: the flat form is what the repository stores.
   XmlRepository repo;
   auto id = repo.Add(SmallDoc("June 1996"));
   ASSERT_TRUE(id.ok());
@@ -33,19 +32,7 @@ TEST(RepositoryTest, AddAndRetrieve) {
   ASSERT_NE(flat, nullptr);
   EXPECT_EQ(flat->name_view(0), "resume");
   EXPECT_EQ(flat->element_count(), 4u);
-  EXPECT_EQ(repo.document(0), nullptr);
   EXPECT_EQ(repo.flat_document(99), nullptr);
-  EXPECT_EQ(repo.document(99), nullptr);
-}
-
-TEST(RepositoryTest, AddAndRetrievePointerMode) {
-  RepositoryOptions options;
-  options.freeze_flat = false;
-  XmlRepository repo(options);
-  ASSERT_TRUE(repo.Add(SmallDoc("June 1996")).ok());
-  ASSERT_NE(repo.document(0), nullptr);
-  EXPECT_EQ(repo.document(0)->name(), "resume");
-  EXPECT_EQ(repo.flat_document(0), nullptr);
 }
 
 TEST(RepositoryTest, FlatDocPreservesStructureAndText) {
@@ -171,19 +158,16 @@ TEST(RepositoryTest, QueryStatsClassifyPlans) {
   EXPECT_EQ(stats.index_hits, 2u);
   EXPECT_EQ(stats.prefix_hits, 0u);
   EXPECT_EQ(stats.fallback_walks, 0u);
-  EXPECT_EQ(stats.flat_scans, 0u);
   EXPECT_EQ(stats.plan_summary, 1u);
   EXPECT_EQ(stats.plan_sweep, 1u);
 
   // An intermediate predicate behind a child-axis name prefix: seeded
-  // from the DATE column, the suffix evaluated per seeded document
-  // (flat evaluator by default).
+  // from the DATE column, the suffix evaluated per seeded document.
   repo.Query("/resume/EDUCATION/DATE[val~\"19\"]/INSTITUTION").value();
   stats = repo.query_stats();
   EXPECT_EQ(stats.prefix_hits, 1u);
   EXPECT_EQ(stats.plan_seeded, 1u);
   EXPECT_EQ(stats.fallback_walks, 2u);  // both documents seeded
-  EXPECT_EQ(stats.flat_scans, 2u);      // …and evaluated via FlatDoc
 
   // A predicate no value satisfies seeds no document: same plan, no
   // evaluation.
@@ -198,7 +182,6 @@ TEST(RepositoryTest, QueryStatsClassifyPlans) {
   stats = repo.query_stats();
   EXPECT_EQ(stats.plan_scan, 1u);
   EXPECT_EQ(stats.fallback_walks, 3u);  // only the 1998 document
-  EXPECT_EQ(stats.flat_scans, 3u);
   EXPECT_EQ(stats.queries, 5u);
   EXPECT_EQ(stats.index_hits + stats.prefix_hits, stats.queries);
   EXPECT_EQ(stats.plan_summary + stats.plan_sweep + stats.plan_seeded +
@@ -222,12 +205,6 @@ TEST(RepositoryTest, StatsCountEverything) {
   EXPECT_EQ(stats.elements, 8u);       // 4 per doc
   EXPECT_EQ(stats.distinct_paths, 4u); // shared across docs
   EXPECT_GT(stats.flat_bytes, 0u);     // frozen blocks are accounted
-
-  RepositoryOptions no_flat;
-  no_flat.freeze_flat = false;
-  XmlRepository pointer_repo(no_flat);
-  pointer_repo.Add(SmallDoc("a")).value();
-  EXPECT_EQ(pointer_repo.Stats().flat_bytes, 0u);
 }
 
 TEST(RepositoryTest, DtdGateRejectsNonConforming) {

@@ -1,11 +1,8 @@
 // Differential tests for the durable repository: a snapshot and/or WAL
 // reload must be observationally identical to a fresh in-memory build
 // over the same documents — query results (and the deterministic
-// query.* counters) byte-for-byte, across shard counts, re-sharded
-// reopens, and pointer-mode (--no-flat) ingest followed by a
-// checkpoint (DESIGN.md §14).
-
-#include <sys/stat.h>
+// query.* counters) byte-for-byte, across shard counts and re-sharded
+// reopens (DESIGN.md §14).
 
 #include <memory>
 #include <string>
@@ -14,7 +11,6 @@
 #include "gtest/gtest.h"
 #include "repository/repository.h"
 #include "storage/durable_repository.h"
-#include "storage/snapshot.h"
 #include "util/rng.h"
 #include "xml/node.h"
 
@@ -61,8 +57,8 @@ std::unique_ptr<Node> MakeDoc(size_t index) {
   return root;
 }
 
-// (doc, pos) pairs — the cross-representation comparable part of a
-// match (node/flat pointers differ by construction).
+// (doc, pos) pairs — the comparable part of a match (FlatDoc pointers
+// differ between a live and a reloaded repository by construction).
 std::vector<std::pair<DocId, uint32_t>> Run(const XmlRepository& repo,
                                             const char* query) {
   auto matches = repo.Query(query);
@@ -88,7 +84,6 @@ void ExpectEquivalent(const XmlRepository& fresh,
   EXPECT_EQ(b.index_hits, a.index_hits);
   EXPECT_EQ(b.prefix_hits, a.prefix_hits);
   EXPECT_EQ(b.fallback_walks, a.fallback_walks);
-  EXPECT_EQ(b.flat_scans, a.flat_scans);
   EXPECT_EQ(b.matches, a.matches);
   EXPECT_EQ(b.predicate_bytes_scanned, a.predicate_bytes_scanned);
   EXPECT_EQ(b.plan_summary, a.plan_summary);
@@ -226,30 +221,6 @@ TEST(SnapshotReload, CheckpointThenMoreAddsThenReload) {
   // Half from the snapshot, half replayed over it.
   EXPECT_EQ((*durable)->stats().mmap_hits, kDocs / 2);
   EXPECT_EQ((*durable)->stats().wal_replayed, kDocs - kDocs / 2);
-  ExpectEquivalent(*FreshBuild(2), (*durable)->repo());
-}
-
-TEST(SnapshotReload, PointerModeIngestSnapshotsToFlat) {
-  // Ingest with freeze_flat off (--no-flat): documents stay pointer
-  // trees. A snapshot built from that repository freezes them on the
-  // fly, and a durable open over it serves the same answers flat.
-  RepositoryOptions pointer_options;
-  pointer_options.num_shards = 2;
-  pointer_options.freeze_flat = false;
-  XmlRepository pointer_repo(pointer_options);
-  for (size_t i = 0; i < kDocs; ++i) {
-    ASSERT_TRUE(pointer_repo.Add(MakeDoc(i)).ok());
-  }
-  ASSERT_NE(pointer_repo.document(0), nullptr);       // trees live
-  ASSERT_EQ(pointer_repo.flat_document(0), nullptr);  // nothing frozen
-
-  const std::string dir = FreshDir("reload_noflat");
-  ::mkdir(dir.c_str(), 0755);
-  ASSERT_TRUE(WriteSnapshotFile(dir, BuildSnapshotImage(pointer_repo)).ok());
-
-  auto durable = DurableRepository::Open(dir, Opts(2));
-  ASSERT_TRUE(durable.ok()) << durable.status();
-  EXPECT_EQ((*durable)->stats().mmap_hits, kDocs);
   ExpectEquivalent(*FreshBuild(2), (*durable)->repo());
 }
 

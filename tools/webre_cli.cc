@@ -77,7 +77,6 @@ struct CliOptions {
   size_t threads = 1;
   size_t shards = 0;    // --shards=N (0 = one per hardware thread)
   size_t reps = 50;     // --reps=N (query-bench workload repetitions)
-  bool flat = true;     // --no-flat keeps pointer trees in the repository
   std::string data_dir;            // --data-dir=DIR (durable repository)
   bool checkpoint = false;         // --checkpoint (snapshot + truncate WALs)
   std::string wal_sync = "none";   // --wal-sync=none|fdatasync
@@ -114,8 +113,6 @@ CliOptions ParseFlags(int argc, char** argv, int first) {
     } else if (arg.rfind("--reps=", 0) == 0) {
       options.reps =
           static_cast<size_t>(std::strtoul(arg.c_str() + 7, nullptr, 10));
-    } else if (arg == "--no-flat") {
-      options.flat = false;
     } else if (arg.rfind("--data-dir=", 0) == 0) {
       options.data_dir = arg.substr(11);
     } else if (arg == "--checkpoint") {
@@ -468,7 +465,6 @@ struct RepoHandle {
   webre::Status Open(const CliOptions& options) {
     webre::RepositoryOptions repo_options;
     repo_options.num_shards = options.shards;
-    repo_options.freeze_flat = options.flat;
     if (options.data_dir.empty()) {
       plain = std::make_unique<webre::XmlRepository>(repo_options);
       repo = plain.get();
@@ -476,9 +472,6 @@ struct RepoHandle {
     }
     webre::storage::DurableOptions durable_options;
     durable_options.repository = repo_options;
-    // Durable storage always serves the flat representation; a
-    // pointer-tree repository cannot be mmapped back.
-    durable_options.repository.freeze_flat = true;
     if (options.wal_sync == "fdatasync") {
       durable_options.wal_sync = webre::storage::WalSyncMode::kFdatasync;
     } else if (options.wal_sync != "none") {
@@ -494,12 +487,24 @@ struct RepoHandle {
     return webre::Status::Ok();
   }
 
-  webre::StatusOr<webre::DocId> Add(std::unique_ptr<webre::Node> document,
-                                    std::shared_ptr<webre::NodeArena> arena) {
-    return durable != nullptr ? durable->Add(std::move(document),
-                                             std::move(arena))
-                              : repo->Add(std::move(document),
-                                          std::move(arena));
+  webre::StatusOr<webre::DocId> Add(std::unique_ptr<webre::Node> document) {
+    return durable != nullptr ? durable->Add(std::move(document))
+                              : repo->Add(std::move(document));
+  }
+
+  // Admits `result`'s mapped document `i`, then releases what the
+  // conversion kept for it: the unmapped tree, then the arena both
+  // trees were carved from (a tree must die before its arena). So a
+  // document's conversion memory is returned as soon as it is frozen,
+  // not when `result` dies.
+  webre::StatusOr<webre::DocId> AddMapped(webre::PipelineResult& result,
+                                          size_t i) {
+    auto added = Add(std::move(result.mapped_documents[i]));
+    if (added.ok()) {
+      result.documents[i].reset();
+      if (i < result.arenas.size()) result.arenas[i].reset();
+    }
+    return added;
   }
 
   // Renders the storage.* sinks and the optional --checkpoint cycle.
@@ -548,17 +553,15 @@ int CmdQuery(const CliOptions& options) {
   webre::XmlRepository& repo = *handle.repo;
   // The repository is packed with surviving documents only, so repo doc
   // ids must be mapped back to input paths. Each document's arena is
-  // handed over too: in flat mode it is released at freeze time. With
-  // --data-dir the repository may already hold documents recovered from
-  // disk; those ids precede `first_new` and report the data dir as
-  // their source.
+  // released once the document is frozen (AddMapped). With --data-dir
+  // the repository may already hold documents recovered from disk;
+  // those ids precede `first_new` and report the data dir as their
+  // source.
   const size_t first_new = repo.size();
   std::vector<size_t> repo_to_input;
   for (size_t i = 0; i < result.mapped_documents.size(); ++i) {
     if (result.mapped_documents[i] == nullptr) continue;  // failed doc
-    auto added = handle.Add(
-        std::move(result.mapped_documents[i]),
-        i < result.arenas.size() ? result.arenas[i] : nullptr);
+    auto added = handle.AddMapped(result, i);
     if (!added.ok()) {
       sinks.Finish(options);
       return Fail(added.status().ToString());
@@ -622,12 +625,8 @@ int CmdQueryBench(const CliOptions& options) {
   webre::XmlRepository& repo = *handle.repo;
   const double load_begin = webre::obs::MonotonicSeconds();
   for (size_t i = 0; i < result.mapped_documents.size(); ++i) {
-    auto& doc = result.mapped_documents[i];
-    if (doc == nullptr) continue;  // failed doc
-    handle
-        .Add(std::move(doc),
-             i < result.arenas.size() ? result.arenas[i] : nullptr)
-        .value();
+    if (result.mapped_documents[i] == nullptr) continue;  // failed doc
+    handle.AddMapped(result, i).value();
   }
   const double load_seconds = webre::obs::MonotonicSeconds() - load_begin;
 
@@ -668,11 +667,10 @@ int CmdQueryBench(const CliOptions& options) {
               bench_seconds > 0.0 ? stats.queries / bench_seconds : 0.0,
               total_matches);
   std::printf("plans: %llu index hits, %llu prefix hits, "
-              "%llu fallback walks, %llu flat scans\n",
+              "%llu fallback walks\n",
               static_cast<unsigned long long>(stats.index_hits),
               static_cast<unsigned long long>(stats.prefix_hits),
-              static_cast<unsigned long long>(stats.fallback_walks),
-              static_cast<unsigned long long>(stats.flat_scans));
+              static_cast<unsigned long long>(stats.fallback_walks));
   if (sinks.metrics != nullptr) {
     sinks.metrics->MergeQueryStats(stats);
   }
@@ -718,7 +716,7 @@ int CmdServe(const CliOptions& options) {
   for (size_t i = 0; i < count; ++i) {
     auto tree = converter.TryConvert(webre::GenerateResume(i).html);
     if (!tree.ok()) return Fail(tree.status().ToString());
-    auto added = handle.Add(std::move(tree.value()), nullptr);
+    auto added = handle.Add(std::move(tree.value()));
     if (!added.ok()) return Fail(added.status().ToString());
   }
 
@@ -814,8 +812,6 @@ void PrintHelp(std::FILE* out) {
       "repository options (query/query-bench):\n"
       "  --shards=N            repository shards (0 = one per core)\n"
       "  --reps=N              query-bench workload repetitions (default 50)\n"
-      "  --no-flat             keep pointer trees instead of freezing\n"
-      "                        documents into the flat representation\n"
       "  --data-dir=DIR        durable repository: recover state from DIR\n"
       "                        (snapshot + WALs) and log admissions\n"
       "  --wal-sync=MODE       WAL durability: none (default) or fdatasync\n"
