@@ -230,8 +230,8 @@ class BaselineRepo {
   void Add(std::unique_ptr<webre::Node> document) {
     const webre::DocId id = docs_.size();
     webre::DocumentPaths paths = webre::ExtractPaths(*document);
-    for (const webre::LabelPath& path : paths.paths) {
-      index_[webre::JoinLabelPath(path)].push_back(id);
+    for (size_t i = 0; i < paths.size(); ++i) {
+      index_[webre::JoinLabelPath(webre::LabelPathAt(paths, i))].push_back(id);
     }
     docs_.push_back(std::move(document));
   }

@@ -18,6 +18,7 @@ void ConceptSet::Add(Concept concept_def) {
     concepts_[it->second] = std::move(concept_def);
   } else {
     index_.emplace(concept_def.name, concepts_.size());
+    name_ids_.push_back(InternName(concept_def.name));
     concepts_.push_back(std::move(concept_def));
   }
   matcher_ = std::make_shared<const InstanceMatcher>(concepts_);
@@ -48,7 +49,7 @@ namespace {
 // Appends all word-boundary, case-insensitive occurrences of `needle`.
 void FindKeywordMatches(std::string_view text, std::string_view needle,
                         size_t concept_index, std::string_view concept_name,
-                        std::vector<InstanceMatch>& out) {
+                        NameId concept_id, std::vector<InstanceMatch>& out) {
   if (needle.empty() || needle.size() > text.size()) return;
   for (size_t i = 0; i + needle.size() <= text.size(); ++i) {
     size_t j = 0;
@@ -62,7 +63,7 @@ void FindKeywordMatches(std::string_view text, std::string_view needle,
     const bool right_ok = end >= text.size() || !IsAsciiAlnum(text[end]);
     if (left_ok && right_ok) {
       out.push_back(InstanceMatch{concept_index, concept_name, i,
-                                  needle.size()});
+                                  needle.size(), false, concept_id});
     }
   }
 }
@@ -71,7 +72,7 @@ void FindKeywordMatches(std::string_view text, std::string_view needle,
 // `text` whose shape equals `shape`.
 void FindShapeMatches(std::string_view text, std::string_view shape,
                       size_t concept_index, std::string_view concept_name,
-                      std::vector<InstanceMatch>& out) {
+                      NameId concept_id, std::vector<InstanceMatch>& out) {
   size_t i = 0;
   while (i < text.size()) {
     if (!IsAsciiDigit(text[i])) {
@@ -93,8 +94,8 @@ void FindShapeMatches(std::string_view text, std::string_view shape,
     const bool right_ok = end >= text.size() || !IsAsciiAlnum(text[end]);
     if (left_ok && right_ok && end > begin &&
         NumericWordShape(text.substr(begin, end - begin)) == shape) {
-      out.push_back(
-          InstanceMatch{concept_index, concept_name, begin, end - begin});
+      out.push_back(InstanceMatch{concept_index, concept_name, begin,
+                                  end - begin, false, concept_id});
     }
     i = end + 1;
   }
@@ -153,13 +154,16 @@ std::vector<InstanceMatch> ConceptSet::MatchAllNaive(
   std::vector<InstanceMatch> candidates;
   for (size_t ci = 0; ci < concepts_.size(); ++ci) {
     const Concept& concept_def = concepts_[ci];
-    FindKeywordMatches(text, concept_def.name, ci, concept_def.name,
+    const NameId id = name_ids_[ci];
+    FindKeywordMatches(text, concept_def.name, ci, concept_def.name, id,
                        candidates);
     for (const std::string& instance : concept_def.instances) {
       if (Concept::IsShapeInstance(instance)) {
-        FindShapeMatches(text, instance, ci, concept_def.name, candidates);
+        FindShapeMatches(text, instance, ci, concept_def.name, id,
+                         candidates);
       } else {
-        FindKeywordMatches(text, instance, ci, concept_def.name, candidates);
+        FindKeywordMatches(text, instance, ci, concept_def.name, id,
+                           candidates);
       }
     }
   }

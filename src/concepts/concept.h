@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "xml/name_table.h"
+
 namespace webre {
 
 class InstanceMatcher;
@@ -52,6 +54,9 @@ struct InstanceMatch {
   /// synonym/shape matching (observability: the per-rule counters split
   /// identified tokens by recognizer, §2.3.1's two strategies).
   bool via_bayes = false;
+  /// Interned concept name, so the instance rule creates the concept's
+  /// element without hashing its name.
+  NameId concept_id = kInvalidNameId;
 };
 
 /// Reusable candidate buffer for ConceptSet::MatchAllInto, so a caller
@@ -81,6 +86,8 @@ class ConceptSet {
   size_t size() const { return concepts_.size(); }
   bool empty() const { return concepts_.empty(); }
   const Concept& at(size_t i) const { return concepts_[i]; }
+  /// The interned name of concept `i`.
+  NameId name_id(size_t i) const { return name_ids_[i]; }
   const std::vector<Concept>& concepts() const { return concepts_; }
 
   /// Returns the index of the concept named `name` (case-sensitive), or
@@ -132,6 +139,8 @@ class ConceptSet {
   };
 
   std::vector<Concept> concepts_;
+  /// Interned concept names, parallel to concepts_.
+  std::vector<NameId> name_ids_;
   /// name → index into concepts_, kept in sync by Add.
   std::unordered_map<std::string, size_t, TransparentHash, std::equal_to<>>
       index_;

@@ -2,9 +2,13 @@
 #define WEBRE_CONCEPTS_CONSTRAINTS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
+
+#include "xml/name_table.h"
 
 namespace webre {
 
@@ -50,6 +54,13 @@ struct ConceptConstraint {
 /// used to prune the schema-discovery search space and to guide
 /// restructuring decisions. Constraints are optional and need not be
 /// complete (§2.2).
+///
+/// Add() compiles the set into per-name tables keyed by interned NameId
+/// (as ConceptSet compiles its matcher), so every predicate below is a
+/// handful of 32-bit compares: a depth rule set becomes one level
+/// interval with excluded points, a parent rule is stored with its
+/// child, a sibling rule with both names. Mutation is setup-time only;
+/// every const member is safe to call from concurrent threads.
 class ConstraintSet {
  public:
   ConstraintSet() = default;
@@ -72,29 +83,56 @@ class ConstraintSet {
   /// True iff concept `name` may occur at concept level `level`
   /// (1 = directly under the root) according to the depth constraints
   /// and max_level.
-  bool AllowedAtLevel(std::string_view name, size_t level) const;
+  bool AllowedAtLevel(NameId name, size_t level) const;
 
   /// True iff an element named `child` may appear somewhere below an
-  /// element named `ancestor` (kParent constraints).
-  bool AncestorAllowed(std::string_view ancestor,
-                       std::string_view child) const;
+  /// element named `ancestor` (negated kParent constraints).
+  bool AncestorAllowed(NameId ancestor, NameId child) const;
 
   /// True iff `a` and `b` may be siblings (kSibling constraints with
   /// negation; positive sibling constraints are hints, not exclusions).
-  bool SiblingAllowed(std::string_view a, std::string_view b) const;
+  bool SiblingAllowed(NameId a, NameId b) const;
 
   /// True iff there is a positive sibling(a, b) or sibling(b, a) hint.
-  bool SiblingExpected(std::string_view a, std::string_view b) const;
+  bool SiblingExpected(NameId a, NameId b) const;
 
-  /// Checks a whole root-emanating label path `labels[0..n)` where
-  /// labels[0] is the root. Applies depth constraints, parent
-  /// constraints, the no-repeat rule and the level cap.
-  bool PathAllowed(const std::vector<std::string>& labels) const;
+  /// The checks a root-emanating label path `labels` (labels[0] is the
+  /// root) adds over its parent path: the leaf's depth rule and level
+  /// cap, the no-repeat rule against its ancestors, and the parent
+  /// constraints naming the leaf. Every rule is prefix-closed, so a path
+  /// is allowed iff its parent path is and LeafAllowed holds; a caller
+  /// walking paths parent-first decides each with one call.
+  bool LeafAllowed(std::span<const NameId> labels) const;
 
  private:
+  /// Everything the set says about one name.
+  struct NameRules {
+    /// Allowed concept levels: [min_level, max_level] minus `excluded`.
+    /// min_level > max_level means no level is allowed.
+    size_t min_level = 0;
+    size_t max_level = SIZE_MAX;
+    std::vector<size_t> excluded;
+    /// parent(c1, this name) rules: (c1, negated).
+    std::vector<std::pair<NameId, bool>> parents;
+    /// Names this one may not (forbidden) or is expected to (expected)
+    /// be a sibling of; both directions are stored.
+    std::vector<NameId> forbidden_siblings;
+    std::vector<NameId> expected_siblings;
+  };
+
+  const NameRules* RulesOf(NameId name) const {
+    return name < slot_.size() && slot_[name] != 0 ? &rules_[slot_[name] - 1]
+                                                   : nullptr;
+  }
+  NameRules& MutableRulesOf(NameId name);
+
   std::vector<ConceptConstraint> constraints_;
   bool no_repeat_on_path_ = false;
   size_t max_level_ = 0;
+  /// Compiled tables: slot_[id] is 1 + the index of id's entry in
+  /// rules_, or 0 when the set names id nowhere.
+  std::vector<NameRules> rules_;
+  std::vector<uint32_t> slot_;
 };
 
 }  // namespace webre

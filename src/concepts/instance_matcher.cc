@@ -39,7 +39,11 @@ std::string_view NumericWordShape(std::string_view word) {
 
 InstanceMatcher::InstanceMatcher(const std::vector<Concept>& concepts) {
   names_.reserve(concepts.size());
-  for (const Concept& c : concepts) names_.push_back(c.name);
+  name_ids_.reserve(concepts.size());
+  for (const Concept& c : concepts) {
+    names_.push_back(c.name);
+    name_ids_.push_back(InternName(c.name));
+  }
 
   // Gather the deduplicated (lowercased pattern, concept) pairs. The
   // naive scan emits identical duplicate candidates for a repeated
@@ -165,9 +169,9 @@ void InstanceMatcher::CollectCandidates(std::string_view text,
       const bool right_ok =
           i + 1 >= text.size() || !IsAsciiAlnum(text[i + 1]);
       if (left_ok && right_ok) {
-        out.push_back(InstanceMatch{output.concept_index,
-                                    names_[output.concept_index], pos,
-                                    output.length});
+        out.push_back(InstanceMatch{
+            output.concept_index, names_[output.concept_index], pos,
+            output.length, false, name_ids_[output.concept_index]});
       }
     }
   }
@@ -200,9 +204,9 @@ void InstanceMatcher::CollectCandidates(std::string_view text,
       if (!shape.empty()) {
         for (const ShapePattern& pattern : shapes_) {
           if (pattern.shape == shape) {
-            out.push_back(InstanceMatch{pattern.concept_index,
-                                        names_[pattern.concept_index], begin,
-                                        end - begin});
+            out.push_back(InstanceMatch{
+                pattern.concept_index, names_[pattern.concept_index], begin,
+                end - begin, false, name_ids_[pattern.concept_index]});
           }
         }
       }

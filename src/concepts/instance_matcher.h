@@ -77,8 +77,10 @@ class InstanceMatcher {
   size_t pattern_count_ = 0;
 
   std::vector<ShapePattern> shapes_;
-  // Concept names owned here, indexed by concept_index.
+  // Concept names owned here and their interned ids, indexed by
+  // concept_index.
   std::vector<std::string> names_;
+  std::vector<NameId> name_ids_;
 };
 
 }  // namespace webre

@@ -1,5 +1,6 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -70,7 +71,6 @@ PipelineResult Pipeline::Run(
 
   MiningOptions mining = options_.mining;
   if (mining.constraints == nullptr) mining.constraints = constraints_;
-  FrequentPathMiner miner(mining);
 
   // One pool serves every parallel stage of this run; the serial
   // configuration never spawns a thread.
@@ -79,9 +79,10 @@ PipelineResult Pipeline::Run(
                              : options_.parallel.num_threads;
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1 && count > 1) pool = std::make_unique<ThreadPool>(threads);
+  const size_t chunk_size = std::max<size_t>(1, options_.parallel.chunk_size);
   auto run_stage = [&](const std::function<void(size_t, size_t)>& body) {
     if (pool != nullptr) {
-      ParallelFor(*pool, count, options_.parallel.chunk_size, body);
+      ParallelFor(*pool, count, chunk_size, body);
     } else if (count > 0) {
       body(0, count);
     }
@@ -109,14 +110,20 @@ PipelineResult Pipeline::Run(
   // Stage 1 — conversion. Each page is converted and path-extracted
   // independently on the pool under the per-document resource guards
   // and an exception barrier: a pathological page writes one error
-  // outcome into its slot and the rest of its chunk continues. The
-  // miner then folds the surviving documents' paths in input order, so
-  // the discovered schema (and every count in it) is identical to a
-  // serial run regardless of thread count.
-  std::vector<DocumentPaths> extracted(count);
+  // outcome into its slot and the rest of its chunk continues. Each
+  // chunk folds its surviving documents' paths into its own miner right
+  // after extraction, so no document's paths outlive its own iteration.
+  // Every trie statistic is a count or a sum of small integers, so the
+  // chunk miners merged below hold exactly the trie a serial fold in
+  // input order would, regardless of thread count or chunking.
+  std::vector<std::unique_ptr<FrequentPathMiner>> chunk_miners(
+      (count + chunk_size - 1) / chunk_size);
   const bool use_arena = options_.use_node_arena;
   if (use_arena) result.arenas.resize(count);
   run_stage([&](size_t begin, size_t end) {
+    // The serial configuration runs one chunk, [0, count).
+    auto& chunk_miner = chunk_miners[begin / chunk_size];
+    chunk_miner = std::make_unique<FrequentPathMiner>(mining);
     for (size_t i = begin; i < end; ++i) {
       DocumentOutcome& outcome = result.outcomes[i];
       ConvertStats stats;
@@ -147,14 +154,15 @@ PipelineResult Pipeline::Run(
           result.convert_stats[i] = stats;
           const double extract_begin =
               observing ? obs::MonotonicSeconds() : 0.0;
-          extracted[i] = ExtractPaths(*result.documents[i]);
+          const DocumentPaths paths = ExtractPaths(*result.documents[i]);
+          chunk_miner->AddDocumentPaths(paths);
           if (observing) {
             const double extract_end = obs::MonotonicSeconds();
             if (metrics != nullptr) {
               metrics->RecordStage(
                   obs::PipelineStage::kExtract,
                   static_cast<uint64_t>((extract_end - extract_begin) * 1e9),
-                  stats.concept_nodes, extracted[i].paths.size());
+                  stats.concept_nodes, paths.size());
             }
             if (trace != nullptr) {
               trace->AddSpan("extract", "stage", extract_begin, extract_end,
@@ -167,13 +175,11 @@ PipelineResult Pipeline::Run(
         outcome.stage = "extract";
         outcome.message = e.what();
         result.documents[i] = nullptr;
-        extracted[i] = DocumentPaths{};
       } catch (...) {
         outcome.status = DocumentStatus::kConvertError;
         outcome.stage = "extract";
         outcome.message = "unknown exception";
         result.documents[i] = nullptr;
-        extracted[i] = DocumentPaths{};
       }
       // A failed document holds no tree; release its arena now instead
       // of carrying dead blocks to the end of the batch. (documents[i]
@@ -207,19 +213,24 @@ PipelineResult Pipeline::Run(
     return result;
   }
 
-  // Stage 2 — discovery (serial: one fold over the accumulated trie).
-  // Only surviving documents take part, so one bad page cannot skew
-  // support counts with an empty path set.
+  // Stage 2 — discovery: merge the chunk miners (failed documents never
+  // folded, so one bad page cannot skew support counts with an empty
+  // path set), then mine the schema and derive the DTD.
   const double discover_begin = observing ? obs::MonotonicSeconds() : 0.0;
-  size_t documents_folded = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (result.outcomes[i].ok()) {
-      miner.AddDocumentPaths(extracted[i]);
-      ++documents_folded;
+  std::unique_ptr<FrequentPathMiner> miner;
+  for (std::unique_ptr<FrequentPathMiner>& chunk_miner : chunk_miners) {
+    if (chunk_miner == nullptr) continue;  // its chunk task threw
+    if (miner == nullptr) {
+      miner = std::move(chunk_miner);
+    } else {
+      miner->MergeFrom(*chunk_miner);
     }
   }
-  result.schema = miner.Discover();
-  result.mining_stats = miner.stats();
+  chunk_miners.clear();
+  if (miner == nullptr) miner = std::make_unique<FrequentPathMiner>(mining);
+  const size_t documents_folded = miner->document_count();
+  result.schema = miner->Discover();
+  result.mining_stats = miner->stats();
   result.dtd = BuildDtd(result.schema, options_.dtd);
   // The mapper is compiled once per batch and shared by every worker.
   std::optional<DocumentMapper> mapper;

@@ -145,11 +145,13 @@ struct PipelineResult {
 /// (3) optional schema-guided document mapping.
 ///
 /// The per-document stages are embarrassingly parallel and fan out
-/// across a worker pool when `options.parallel.num_threads != 1`;
-/// schema discovery itself stays serial (it is a cheap fold over
-/// pre-extracted paths, merged in input order for determinism). The
-/// recognizer passed in must be const-thread-safe — the bundled
-/// recognizers are, as they hold only immutable borrowed state.
+/// across a worker pool when `options.parallel.num_threads != 1`. Each
+/// conversion chunk folds its documents' label paths into its own
+/// miner; discovery merges the chunk miners (every statistic is an
+/// integer sum, so the merged trie does not depend on chunking or
+/// thread count) and mines the schema serially. The recognizer passed
+/// in must be const-thread-safe — the bundled recognizers are, as they
+/// hold only immutable borrowed state.
 ///
 /// Fault isolation: each document converts under `options.limits` and
 /// behind a per-document exception barrier, so one pathological page —

@@ -171,7 +171,6 @@ void CollectRestorePaths(const FlatDoc& doc, LocalDocumentPaths& local,
   // guarantees a parent's emit slot is assigned before its children's.
   const size_t n = emit_order.size();
   local.paths.resize(n);
-  mined.paths.assign(n, LabelPath{});  // sizes the parallel vectors only
   mined.max_multiplicity.reserve(n);
   mined.position_sum.reserve(n);
   mined.position_count.reserve(n);

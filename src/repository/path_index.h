@@ -56,13 +56,7 @@ LocalDocumentPaths CollectLocalPaths(const FlatDoc& doc);
 
 /// Snapshot-restore fast path: ONE pass over the frozen document fills
 /// both the index feed (`local`, bit-identical to CollectLocalPaths)
-/// and the mining feed (`mined`, identical to ExtractPaths except that
-/// the LabelPath strings are left empty — correctly sized, never
-/// materialized). The repository's shard miners run without constraint
-/// sets and consume only the dense parent_index / leaf_name view plus
-/// the statistics, so the strings would be pure allocation cost on the
-/// recovery path. Do not hand the `mined` output to a consumer that
-/// applies path constraints at insertion.
+/// and the mining feed (`mined`, identical to ExtractPaths).
 void CollectRestorePaths(const FlatDoc& doc, LocalDocumentPaths& local,
                          DocumentPaths& mined);
 

@@ -269,7 +269,8 @@ void XmlRepository::SetDtd(Dtd dtd) {
   has_dtd_ = true;
 }
 
-StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document) {
+StatusOr<XmlRepository::Prepared> XmlRepository::Prepare(
+    std::unique_ptr<Node> document) const {
   if (document == nullptr || !document->is_element()) {
     return Status::InvalidArgument("document root must be an element");
   }
@@ -281,18 +282,24 @@ StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document) {
           validation.violations[0].message);
     }
   }
-
-  // Everything per-document — validation, path extraction, freezing —
-  // runs outside any lock; only the index/trie updates are serialized.
-  // ExtractPaths feeds the mining trie (statistics and constraint-
-  // checkable label strings); AdmitFrozen collects the structural
-  // indexes' element occurrences from the frozen form.
-  const DocumentPaths paths = ExtractPaths(*document);
-  std::unique_ptr<FlatDoc> flat = FlatDoc::Freeze(*document);
+  // ExtractPaths feeds the mining trie; admission collects the
+  // structural indexes' element occurrences from the frozen form.
+  Prepared prepared;
+  prepared.mined = ExtractPaths(*document);
+  prepared.flat = FlatDoc::Freeze(*document);
   // The tree has served its purpose: free it before admission even
   // begins.
   document.reset();
-  return AdmitFrozen(std::move(flat), paths, /*feed_summary=*/true);
+  return prepared;
+}
+
+StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document) {
+  // Everything per-document — validation, path extraction, freezing —
+  // runs outside any lock; only the index/trie updates are serialized.
+  StatusOr<Prepared> prepared = Prepare(std::move(document));
+  if (!prepared.ok()) return prepared.status();
+  return AdmitFrozen(std::move(prepared->flat), prepared->mined,
+                     /*feed_summary=*/true);
 }
 
 DocId XmlRepository::AdmitFrozen(std::unique_ptr<FlatDoc> flat,

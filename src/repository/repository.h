@@ -139,6 +139,19 @@ class XmlRepository {
   /// call and may drop it as soon as Add returns.
   StatusOr<DocId> Add(std::unique_ptr<Node> document);
 
+  /// A document ready for admission: its frozen form and its mining
+  /// feed (ExtractPaths of the same document).
+  struct Prepared {
+    std::unique_ptr<FlatDoc> flat;
+    DocumentPaths mined;
+  };
+
+  /// The admission prelude of Add, shared with DurableRepository::Add:
+  /// checks that the root is an element, validates against the DTD when
+  /// one is set (the first violation names the error), extracts the
+  /// label paths, freezes the tree and frees it. Takes no lock.
+  StatusOr<Prepared> Prepare(std::unique_ptr<Node> document) const;
+
   // ---- Storage-layer surface (src/storage) ----
   //
   // The durable repository persists frozen documents; these entry

@@ -131,8 +131,8 @@ class Consolidator {
         if (j == i) continue;
         const Node* other = children[j].get();
         if (other->is_element() &&
-            !constraints_->AncestorAllowed(candidate->name(),
-                                           other->name())) {
+            !constraints_->AncestorAllowed(candidate->name_id(),
+                                           other->name_id())) {
           ok = false;
           break;
         }

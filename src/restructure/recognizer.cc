@@ -32,7 +32,8 @@ std::vector<InstanceMatch> BayesRecognizer::Recognize(
   const size_t index = concepts_->IndexOf(label);
   if (index == ConceptSet::kNpos) return matches;  // outside Con: unknown
   matches.push_back(InstanceMatch{index, concepts_->at(index).name, 0,
-                                  token_text.size(), /*via_bayes=*/true});
+                                  token_text.size(), /*via_bayes=*/true,
+                                  concepts_->name_id(index)});
   return matches;
 }
 

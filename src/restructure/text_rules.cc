@@ -124,8 +124,7 @@ class TextPass {
     pending_val_.append(text);
   }
 
-  void AddConcept(Node* parent, std::string_view name,
-                  std::string_view text) {
+  void AddConcept(Node* parent, NameId name, std::string_view text) {
     std::unique_ptr<Node> element = Node::MakeElement(name);
     element->set_val(std::string(text));
     parent->AddChild(std::move(element));
@@ -153,7 +152,7 @@ class TextPass {
 
     if (matches_.size() == 1) {
       // Case 1: the whole token becomes one concept element.
-      AddConcept(parent, matches_[0].concept_name, text);
+      AddConcept(parent, matches_[0].concept_id, text);
       return;
     }
 
@@ -168,7 +167,7 @@ class TextPass {
       const size_t begin = matches_[m].position;
       const size_t end =
           m + 1 < matches_.size() ? matches_[m + 1].position : text.size();
-      AddConcept(parent, matches_[m].concept_name,
+      AddConcept(parent, matches_[m].concept_id,
                  StripAsciiWhitespace(text.substr(begin, end - begin)));
     }
   }
@@ -200,7 +199,7 @@ class TextPass {
     for (size_t i = 0; i < matches_.size(); ++i) {
       const InstanceMatch& m = matches_[i];
       if (kept > 0 && !constraints_->SiblingAllowed(
-                          matches_[kept - 1].concept_name, m.concept_name)) {
+                          matches_[kept - 1].concept_id, m.concept_id)) {
         ++stats_.segments_vetoed;
         continue;
       }

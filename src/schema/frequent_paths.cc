@@ -10,9 +10,9 @@
 namespace webre {
 
 /// The search-space trie is keyed on interned NameIds: child lookup is
-/// an integer map probe and merging two tries never touches a string.
-/// Label strings are resolved from the global NameTable only when a
-/// schema node is materialized or a constraint set must be consulted.
+/// an integer map probe, constraint checks compare NameIds, and merging
+/// two tries never touches a string. Label strings are resolved from the
+/// global NameTable only when a schema node is materialized.
 struct FrequentPathMiner::TrieNode {
   NameId label = kInvalidNameId;  // kInvalidNameId marks the sentinel
   size_t doc_count = 0;
@@ -42,75 +42,41 @@ void FrequentPathMiner::AddDocument(const Node& root) {
 
 void FrequentPathMiner::AddDocumentPaths(const DocumentPaths& paths) {
   ++document_count_;
-  // ExtractPaths fills the statistics vectors parallel to `paths`;
+  // ExtractPaths fills the statistics vectors parallel to the paths;
   // hand-built DocumentPaths may omit them.
-  const size_t n = paths.paths.size();
+  const size_t n = paths.size();
   const bool have_mult = paths.max_multiplicity.size() == n;
   const bool have_pos =
       paths.position_sum.size() == n && paths.position_count.size() == n;
-  const bool have_dense =
-      paths.parent_index.size() == n && paths.leaf_name.size() == n;
+  const ConstraintSet* constraints = options_.constraints;
 
-  // Dense fast path: each path is reached through its parent's already
-  // resolved trie node, so an insertion is one map probe instead of a
-  // walk over the whole label chain. Resolution is lazy so a path pruned
-  // by the constraint set materializes no trie node of its own — exactly
-  // the trie shape string-chain insertion produces (intermediate nodes
-  // still appear whenever a surviving path runs through them).
-  std::vector<TrieNode*> resolved;
-  if (have_dense) resolved.assign(n, nullptr);
-  auto resolve_chain = [&](size_t pi) -> TrieNode* {
-    // Parents precede children in `paths`, so each round the deepest
-    // unresolved ancestor of pi is found by following parent links and
-    // materialized top-down; each path resolves at most once, keeping
-    // the whole feed linear in practice.
-    while (resolved[pi] == nullptr) {
-      size_t next = pi;
-      while (paths.parent_index[next] != DocumentPaths::kNoParentPath &&
-             resolved[paths.parent_index[next]] == nullptr) {
-        next = paths.parent_index[next];
-      }
-      TrieNode* parent =
-          paths.parent_index[next] == DocumentPaths::kNoParentPath
-              ? root_.get()
-              : resolved[paths.parent_index[next]];
-      const NameId leaf = paths.leaf_name[next];
-      std::unique_ptr<TrieNode>& slot = parent->children[leaf];
-      if (slot == nullptr) {
-        slot = std::make_unique<TrieNode>();
-        slot->label = leaf;
-        ++trie_node_count_;
-      }
-      resolved[next] = slot.get();
-    }
-    return resolved[pi];
-  };
-
-  NameTable& names = NameTable::Global();
+  // Parents precede children, so each path's trie node hangs off its
+  // parent's already resolved one: an insertion is one map probe. Every
+  // constraint rule is prefix-closed, so a path is allowed iff its
+  // parent was and its leaf passes (ConstraintSet::LeafAllowed); a
+  // pruned path leaves a null entry that prunes its descendants, and
+  // materializes no trie node of its own.
+  std::vector<TrieNode*>& resolved = resolved_scratch_;
+  resolved.assign(n, nullptr);
   for (size_t pi = 0; pi < n; ++pi) {
-    const LabelPath& path = paths.paths[pi];
     ++stats_.paths_offered;
-    if (options_.constraints != nullptr &&
-        !options_.constraints->PathAllowed(path)) {
+    const uint32_t parent = paths.parent_index[pi];
+    TrieNode* parent_node =
+        parent == DocumentPaths::kNoParentPath ? root_.get() : resolved[parent];
+    if (constraints != nullptr &&
+        (parent_node == nullptr || !LeafAllowed(paths, pi))) {
       ++stats_.paths_pruned_by_constraints;
       continue;
     }
-    TrieNode* node = nullptr;
-    if (have_dense) {
-      node = resolve_chain(pi);
-    } else {
-      node = root_.get();
-      for (const std::string& label : path) {
-        const NameId id = names.Intern(label);
-        std::unique_ptr<TrieNode>& slot = node->children[id];
-        if (slot == nullptr) {
-          slot = std::make_unique<TrieNode>();
-          slot->label = id;
-          ++trie_node_count_;
-        }
-        node = slot.get();
-      }
+    const NameId leaf = paths.leaf_name[pi];
+    std::unique_ptr<TrieNode>& slot = parent_node->children[leaf];
+    if (slot == nullptr) {
+      slot = std::make_unique<TrieNode>();
+      slot->label = leaf;
+      ++trie_node_count_;
     }
+    TrieNode* node = slot.get();
+    resolved[pi] = node;
     ++node->doc_count;
 
     if (have_mult && paths.max_multiplicity[pi] > 0 &&
@@ -122,6 +88,18 @@ void FrequentPathMiner::AddDocumentPaths(const DocumentPaths& paths) {
       node->position_count += paths.position_count[pi];
     }
   }
+}
+
+bool FrequentPathMiner::LeafAllowed(const DocumentPaths& paths, size_t pi) {
+  // The label chain root..leaf, gathered along the parent links.
+  std::vector<NameId>& labels = labels_scratch_;
+  labels.clear();
+  for (uint32_t j = static_cast<uint32_t>(pi);
+       j != DocumentPaths::kNoParentPath; j = paths.parent_index[j]) {
+    labels.push_back(paths.leaf_name[j]);
+  }
+  std::reverse(labels.begin(), labels.end());
+  return options_.constraints->LeafAllowed(labels);
 }
 
 void FrequentPathMiner::MergeFrom(const FrequentPathMiner& other) {
@@ -152,7 +130,7 @@ void FrequentPathMiner::MergeFrom(const FrequentPathMiner& other) {
 
 void FrequentPathMiner::BuildSchemaNode(const TrieNode& trie,
                                         double parent_support,
-                                        LabelPath& path,
+                                        std::vector<NameId>& path,
                                         SchemaNode& out) const {
   out.label = std::string(LabelOf(trie.label));
   out.doc_count = trie.doc_count;
@@ -187,23 +165,16 @@ void FrequentPathMiner::BuildSchemaNode(const TrieNode& trie,
     // the trie long before DiscoverSchema names a constraint set).
     // Filtering the descent here is equivalent to insertion-time pruning
     // because a path rejected at insertion leaves a zero-count node the
-    // support threshold already skips.
-    if (options_.constraints != nullptr) {
-      path.emplace_back(LabelOf(id));
-      const bool allowed = options_.constraints->PathAllowed(path);
-      if (!allowed) {
-        path.pop_back();
-        continue;
-      }
+    // support threshold already skips. `path` is allowed, so only the
+    // child's leaf needs checking.
+    path.push_back(id);
+    if (options_.constraints == nullptr ||
+        options_.constraints->LeafAllowed(path)) {
       SchemaNode child_schema;
       BuildSchemaNode(*child, out.support, path, child_schema);
-      path.pop_back();
       out.children.push_back(std::move(child_schema));
-      continue;
     }
-    SchemaNode child_schema;
-    BuildSchemaNode(*child, out.support, path, child_schema);
-    out.children.push_back(std::move(child_schema));
+    path.pop_back();
   }
   // Ordering rule (§3.3): children ordered by average child position in
   // the documents containing the parent prefix.
@@ -243,10 +214,10 @@ MajoritySchema FrequentPathMiner::Discover() {
   std::vector<std::pair<std::string_view, const TrieNode*>> roots;
   roots.reserve(root_->children.size());
   for (const auto& [id, child] : root_->children) {
-    if (options_.constraints != nullptr) {
-      LabelPath probe;
-      probe.emplace_back(LabelOf(id));
-      if (!options_.constraints->PathAllowed(probe)) continue;
+    const NameId probe[] = {id};
+    if (options_.constraints != nullptr &&
+        !options_.constraints->LeafAllowed(probe)) {
+      continue;
     }
     roots.emplace_back(LabelOf(id), child.get());
   }
@@ -270,8 +241,7 @@ MajoritySchema FrequentPathMiner::Discover() {
   }
 
   SchemaNode root_schema;
-  LabelPath path;
-  path.emplace_back(LabelOf(best->label));
+  std::vector<NameId> path = {best->label};
   BuildSchemaNode(*best, 0.0, path, root_schema);
   stats_.frequent_paths = CountSchemaNodes(root_schema);
   return MajoritySchema(std::move(root_schema));

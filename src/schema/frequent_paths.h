@@ -63,9 +63,8 @@ class FrequentPathMiner {
   /// Adds one document's paths to the search space S.
   void AddDocument(const Node& root);
   /// Adds pre-extracted paths (for callers that already walked the
-  /// tree). When the DocumentPaths carries the dense parent_index /
-  /// leaf_name view (ExtractPaths always fills it), the trie is updated
-  /// by NameId with no string hashing at all.
+  /// tree). The trie is updated and the constraint set consulted by
+  /// NameId, one map probe per path, with no string built or hashed.
   void AddDocumentPaths(const DocumentPaths& paths);
 
   /// Folds another miner's search space into this one. All per-path
@@ -98,13 +97,19 @@ class FrequentPathMiner {
   struct TrieNode;
 
   void BuildSchemaNode(const TrieNode& trie, double parent_support,
-                       LabelPath& path, SchemaNode& out) const;
+                       std::vector<NameId>& path, SchemaNode& out) const;
+  /// Constraint verdict for the leaf of path `pi`, whose parent path is
+  /// known to be allowed.
+  bool LeafAllowed(const DocumentPaths& paths, size_t pi);
 
   MiningOptions options_;
   std::unique_ptr<TrieNode> root_;
   size_t document_count_ = 0;
   size_t trie_node_count_ = 0;
   MiningStats stats_;
+  // Per-document buffers reused by AddDocumentPaths.
+  std::vector<TrieNode*> resolved_scratch_;
+  std::vector<NameId> labels_scratch_;
 };
 
 /// Convenience baselines (§1, §3.1): the upper-bound Data Guide keeps

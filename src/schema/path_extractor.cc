@@ -12,8 +12,7 @@ namespace {
 /// parent's index and the child's interned name with one probe into an
 /// open-addressing table keyed by the packed (parent, name) pair — no
 /// string is joined or hashed anywhere, and the only allocations are
-/// the table's geometric growth. Label strings are materialized once
-/// per distinct path at the very end.
+/// the table's geometric growth.
 class PathTable {
  public:
   static constexpr uint32_t kNoParent = 0xFFFFFFFFu;
@@ -64,11 +63,9 @@ class PathTable {
     return sibling_scratch_;
   }
 
-  /// Fills the public DocumentPaths (label paths in emit order plus the
-  /// parallel statistics vectors) from the dense table.
+  /// Fills the public DocumentPaths (parent links, leaf names and the
+  /// parallel statistics, in emit order) from the dense table.
   void Materialize(DocumentPaths& out) const {
-    NameTable& names = NameTable::Global();
-    out.paths.reserve(emit_order_.size());
     out.max_multiplicity.reserve(emit_order_.size());
     out.position_sum.reserve(emit_order_.size());
     out.position_count.reserve(emit_order_.size());
@@ -83,17 +80,11 @@ class PathTable {
       dense_to_emit[emit_order_[k]] = static_cast<uint32_t>(k);
     }
     for (uint32_t i : emit_order_) {
-      out.parent_index.push_back(entries_[i].parent == kNoParent
-                                     ? DocumentPaths::kNoParentPath
-                                     : dense_to_emit[entries_[i].parent]);
-      out.leaf_name.push_back(entries_[i].name);
-      LabelPath path;
-      for (uint32_t j = i; j != kNoParent; j = entries_[j].parent) {
-        path.emplace_back(names.NameOf(entries_[j].name));
-      }
-      std::reverse(path.begin(), path.end());
-      out.paths.push_back(std::move(path));
       const Entry& e = entries_[i];
+      out.parent_index.push_back(e.parent == kNoParent
+                                     ? DocumentPaths::kNoParentPath
+                                     : dense_to_emit[e.parent]);
+      out.leaf_name.push_back(e.name);
       out.max_multiplicity.push_back(e.max_multiplicity);
       out.position_sum.push_back(e.position_sum);
       out.position_count.push_back(e.position_count);
@@ -195,6 +186,17 @@ void Walk(const Node& node, uint32_t path_index, PathTable& table) {
 }
 
 }  // namespace
+
+LabelPath LabelPathAt(const DocumentPaths& paths, size_t i) {
+  const NameTable& names = NameTable::Global();
+  LabelPath path;
+  for (uint32_t j = static_cast<uint32_t>(i); j != DocumentPaths::kNoParentPath;
+       j = paths.parent_index[j]) {
+    path.emplace_back(names.NameOf(paths.leaf_name[j]));
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
 
 DocumentPaths ExtractPaths(const Node& root) {
   DocumentPaths out;

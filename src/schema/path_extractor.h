@@ -19,43 +19,44 @@ namespace webre {
 /// recorded "without computational overhead" during the same walk:
 ///
 ///  - `max_multiplicity[i]`: the largest number of same-label siblings
-///    the leaf of `paths[i]` has anywhere in the document (the ⟨p, num⟩
-///    of the repetitive-elements rule);
+///    the leaf of path i has anywhere in the document (the ⟨p, num⟩ of
+///    the repetitive-elements rule);
 ///  - `position_sum[i]` / `position_count[i]`: accumulated child indices
-///    of the leaf of `paths[i]` among its parent's element children (the
+///    of the leaf of path i among its parent's element children (the
 ///    ordering rule's "average position").
 ///
-/// The statistics vectors are parallel to `paths` — no string keys are
-/// joined or hashed anywhere on this struct's hot path; consumers index
-/// by path position. Callers assembling DocumentPaths by hand may leave
-/// the statistics vectors empty (FrequentPathMiner treats missing
+/// A path is its parent link plus one interned leaf name; no label
+/// string is built (LabelPathAt renders one on demand). All vectors are
+/// parallel and indexed by path position. Callers assembling
+/// DocumentPaths by hand fill `parent_index` and `leaf_name` and may
+/// leave the statistics vectors empty (FrequentPathMiner treats missing
 /// statistics as "none recorded").
 struct DocumentPaths {
-  /// Distinct label paths in document pre-order, root first. The root's
-  /// one-element path is included.
-  std::vector<LabelPath> paths;
-  /// Parallel to `paths`; 0 means the leaf never appeared as a counted
-  /// sibling (hand-built inputs).
+  /// Sentinel for `parent_index` entries that have no parent (roots).
+  static constexpr uint32_t kNoParentPath = 0xFFFFFFFFu;
+  /// Distinct label paths in document pre-order, root first (the root's
+  /// one-element path is included): index of the path one label shorter
+  /// (the parent path), or kNoParentPath for the root path. Parents
+  /// always precede their children, so consumers rebuild the whole path
+  /// set as a NameId trie in one forward pass.
+  std::vector<uint32_t> parent_index;
+  /// Parallel to `parent_index`: the interned NameId of the path's last
+  /// label.
+  std::vector<NameId> leaf_name;
+  /// Parallel; 0 means the leaf never appeared as a counted sibling
+  /// (hand-built inputs).
   std::vector<size_t> max_multiplicity;
-  /// Parallel to `paths`; position_count[i] == 0 means no ordering
-  /// statistic was recorded for paths[i].
+  /// Parallel; position_count[i] == 0 means no ordering statistic was
+  /// recorded for path i.
   std::vector<double> position_sum;
   std::vector<size_t> position_count;
 
-  /// Sentinel for `parent_index` entries that have no parent (roots).
-  static constexpr uint32_t kNoParentPath = 0xFFFFFFFFu;
-  /// Parallel to `paths`: index of the path one label shorter (the
-  /// parent path), or kNoParentPath for the one-element root path.
-  /// Because `paths` is emitted in document pre-order, parents always
-  /// precede their children, so consumers can rebuild the whole path
-  /// set as a NameId trie in one forward pass with no string hashing.
-  /// Empty on hand-assembled DocumentPaths (consumers must fall back
-  /// to the string labels when sizes do not match `paths`).
-  std::vector<uint32_t> parent_index;
-  /// Parallel to `parent_index`: the interned NameId of the last label
-  /// of paths[i]. Empty whenever `parent_index` is empty.
-  std::vector<NameId> leaf_name;
+  /// Number of distinct paths.
+  size_t size() const { return parent_index.size(); }
 };
+
+/// The label strings of path `i`, root first (tests, benches, printing).
+LabelPath LabelPathAt(const DocumentPaths& paths, size_t i);
 
 /// Extracts paths(T) and the side statistics from the document rooted at
 /// `root`. Text nodes are ignored; only element labels form paths.

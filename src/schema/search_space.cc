@@ -11,16 +11,18 @@ uint64_t Pow(uint64_t base, size_t exp) {
   return result;
 }
 
-uint64_t CountConstrained(const ConceptSet& concepts,
+// `path` holds an allowed path; each extension needs only its leaf
+// checked (ConstraintSet::LeafAllowed).
+uint64_t CountConstrained(const std::vector<NameId>& concept_ids,
                           const ConstraintSet& constraints,
-                          std::vector<std::string>& path, size_t max_level) {
+                          std::vector<NameId>& path, size_t max_level) {
   uint64_t count = 1;  // the node ending this path
   const size_t next_level = path.size();  // root is path[0] at level 0
   if (next_level > max_level) return count;
-  for (size_t i = 0; i < concepts.size(); ++i) {
-    path.push_back(concepts.at(i).name);
-    if (constraints.PathAllowed(path)) {
-      count += CountConstrained(concepts, constraints, path, max_level);
+  for (NameId id : concept_ids) {
+    path.push_back(id);
+    if (constraints.LeafAllowed(path)) {
+      count += CountConstrained(concept_ids, constraints, path, max_level);
     }
     path.pop_back();
   }
@@ -47,9 +49,13 @@ SearchSpaceReport AnalyzeSearchSpace(const ConceptSet& concepts,
     report.exhaustive_enumerated += Pow(n, k);
   }
 
-  std::vector<std::string> path = {root_label};
+  std::vector<NameId> concept_ids;
+  for (size_t i = 0; i < concepts.size(); ++i) {
+    concept_ids.push_back(concepts.name_id(i));
+  }
+  std::vector<NameId> path = {InternName(root_label)};
   report.constrained =
-      CountConstrained(concepts, constraints, path, max_level);
+      CountConstrained(concept_ids, constraints, path, max_level);
   return report;
 }
 

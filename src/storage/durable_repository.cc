@@ -16,7 +16,6 @@
 #include "storage/crash_point.h"
 #include "storage/snapshot.h"
 #include "util/file.h"
-#include "xml/dtd_validator.h"
 
 namespace webre {
 namespace storage {
@@ -123,8 +122,7 @@ Status DurableRepository::Recover() {
         if (!owned.ok()) return owned.status();
         flat = std::move(owned).value();
       }
-      // One fused walk fills the index and miner feeds (the strings a
-      // full ExtractPaths would materialize are never read on restore).
+      // One fused walk fills the index and miner feeds.
       LocalDocumentPaths local;
       DocumentPaths mined;
       CollectRestorePaths(*flat, local, mined);
@@ -302,26 +300,14 @@ Status DurableRepository::Recover() {
 }
 
 StatusOr<DocId> DurableRepository::Add(std::unique_ptr<Node> document) {
-  if (document == nullptr || !document->is_element()) {
-    return Status::InvalidArgument("document root must be an element");
-  }
-  // Validation happens here — AddFrozen deliberately skips the DTD
-  // check, so the durable path must gate admission itself.
-  if (repo_->has_dtd()) {
-    DtdValidationResult validation =
-        ValidateAgainstDtd(*document, repo_->dtd());
-    if (!validation.valid()) {
-      return Status::FailedPrecondition(
-          "document does not conform to the repository DTD: " +
-          validation.violations[0].message);
-    }
-  }
-  DocumentPaths mined = ExtractPaths(*document);
-  std::unique_ptr<FlatDoc> flat = FlatDoc::Freeze(*document);
-  document.reset();
+  // Validation happens in Prepare — AddFrozen deliberately skips the
+  // DTD check, so the durable path gates admission with Add's prelude.
+  StatusOr<XmlRepository::Prepared> prepared =
+      repo_->Prepare(std::move(document));
+  if (!prepared.ok()) return prepared.status();
 
   std::shared_lock<std::shared_mutex> checkpoint_lock(checkpoint_mutex_);
-  auto id_or = repo_->AddFrozen(std::move(flat), mined);
+  auto id_or = repo_->AddFrozen(std::move(prepared->flat), prepared->mined);
   if (!id_or.ok()) return id_or.status();
   const DocId id = *id_or;
 

@@ -96,20 +96,36 @@ std::string ElementDecl::ToString() const {
   return out;
 }
 
+void Dtd::set_root(std::string root) {
+  root_id_ = root.empty() ? kInvalidNameId : InternName(root);
+  root_ = std::move(root);
+}
+
 void Dtd::AddElement(ElementDecl decl) {
-  auto it = index_.find(decl.name);
+  ContentAutomaton model = decl.pcdata_only ? ContentAutomaton()
+                                            : ContentAutomaton(decl.content);
+  const NameId id = InternName(decl.name);
+  auto it = index_.find(id);
   if (it != index_.end()) {
     elements_[it->second] = std::move(decl);
+    models_[it->second] = std::move(model);
     return;
   }
-  index_.emplace(decl.name, elements_.size());
+  index_.emplace(id, elements_.size());
   elements_.push_back(std::move(decl));
+  models_.push_back(std::move(model));
+}
+
+size_t Dtd::IndexOf(NameId name) const {
+  auto it = index_.find(name);
+  return it == index_.end() ? kNotDeclared : it->second;
 }
 
 const ElementDecl* Dtd::Find(std::string_view name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) return nullptr;
-  return &elements_[it->second];
+  // Every declared name was interned by AddElement, so a name the table
+  // has never seen is undeclared (IndexOf(kInvalidNameId) finds nothing).
+  const size_t i = IndexOf(NameTable::Global().Find(name));
+  return i == kNotDeclared ? nullptr : &elements_[i];
 }
 
 std::string Dtd::ToString(bool include_attlist) const {

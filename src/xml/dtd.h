@@ -1,10 +1,15 @@
 #ifndef WEBRE_XML_DTD_H_
 #define WEBRE_XML_DTD_H_
 
-#include <map>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
+
+#include "xml/name_table.h"
 
 namespace webre {
 
@@ -55,6 +60,45 @@ struct ContentParticle {
   friend bool operator==(const ContentParticle& a, const ContentParticle& b);
 };
 
+/// A content model compiled to its Glushkov position automaton over
+/// interned names: one position per element leaf of the particle, and
+/// per position the set of positions that may follow it. Matching a
+/// child-name sequence is a left-to-right simulation of the set of
+/// positions reachable so far, held as a bitset — one uint64_t for
+/// models of up to 64 element leaves, heap words above that. The follow
+/// table takes positions² bits. Accepts exactly the language of the particle: `?`, `*` and `+` as in
+/// regular expressions, #PCDATA as the empty sequence (text children are
+/// filtered out before matching), an empty sequence as the empty
+/// sequence and an empty choice as nothing.
+class ContentAutomaton {
+ public:
+  /// The automaton of the empty content model: accepts only the empty
+  /// sequence.
+  ContentAutomaton() = default;
+  explicit ContentAutomaton(const ContentParticle& particle);
+
+  /// True iff the element-child name sequence `children` matches.
+  bool Accepts(std::span<const NameId> children) const;
+
+  /// Number of element positions (leaves of the particle).
+  size_t position_count() const { return symbol_of_.size(); }
+
+ private:
+  struct Sets;
+  Sets Build(const ContentParticle& particle);
+  // The positions labelled `name`, or null when no leaf names it.
+  const uint64_t* MaskOf(NameId name) const;
+
+  size_t words_ = 0;        // 64-bit words per position set
+  bool nullable_ = true;    // accepts the empty sequence
+  std::vector<NameId> symbol_of_;     // per position, its element name
+  std::vector<NameId> symbols_;       // distinct names, ascending
+  std::vector<uint64_t> symbol_masks_;  // per symbol, words_ words
+  std::vector<uint64_t> first_;       // words_ words
+  std::vector<uint64_t> last_;        // words_ words
+  std::vector<uint64_t> follow_;      // per position, words_ words
+};
+
 /// Declaration of one element type.
 struct ElementDecl {
   std::string name;
@@ -74,18 +118,32 @@ class Dtd {
  public:
   Dtd() = default;
 
+  /// Sentinel returned by IndexOf for undeclared names.
+  static constexpr size_t kNotDeclared = static_cast<size_t>(-1);
+
   /// The document element name.
   const std::string& root() const { return root_; }
-  void set_root(std::string root) { root_ = std::move(root); }
+  /// Interned root(); kInvalidNameId when root() is empty.
+  NameId root_id() const { return root_id_; }
+  void set_root(std::string root);
 
   /// Declarations in insertion order.
   const std::vector<ElementDecl>& elements() const { return elements_; }
 
-  /// Adds (or replaces) the declaration for `decl.name`.
+  /// Adds (or replaces) the declaration for `decl.name` and compiles its
+  /// content model.
   void AddElement(ElementDecl decl);
 
   /// Returns the declaration for `name`, or null if undeclared.
   const ElementDecl* Find(std::string_view name) const;
+
+  /// Index into elements() of the declaration for `name`, or
+  /// kNotDeclared.
+  size_t IndexOf(NameId name) const;
+
+  /// The compiled content model of elements()[i]; for a (#PCDATA)-only
+  /// declaration it accepts only the empty child sequence.
+  const ContentAutomaton& content_model(size_t i) const { return models_[i]; }
 
   /// Renders the whole DTD as `<!ELEMENT ...>` lines. With
   /// `include_attlist`, every element also gets
@@ -96,8 +154,10 @@ class Dtd {
 
  private:
   std::string root_;
+  NameId root_id_ = kInvalidNameId;
   std::vector<ElementDecl> elements_;
-  std::map<std::string, size_t, std::less<>> index_;
+  std::vector<ContentAutomaton> models_;  // parallel to elements_
+  std::unordered_map<NameId, size_t> index_;
 };
 
 }  // namespace webre

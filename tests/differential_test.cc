@@ -156,7 +156,8 @@ TEST(RepositoryDifferential, PathIndexAgreesWithExtraction) {
   }
   // Every extracted path of doc i is answered by the index with i in it.
   for (size_t i = 0; i < extracted.size(); ++i) {
-    for (const LabelPath& path : extracted[i].paths) {
+    for (size_t k = 0; k < extracted[i].size(); ++k) {
+      const LabelPath path = LabelPathAt(extracted[i], k);
       std::vector<DocId> docs = repo.DocumentsWithPath(path);
       EXPECT_TRUE(std::find(docs.begin(), docs.end(), i) != docs.end())
           << JoinLabelPath(path);

@@ -12,6 +12,7 @@
 #include "concepts/resume_domain.h"
 #include "core/pipeline.h"
 #include "corpus/resume_generator.h"
+#include "schema/path_extractor.h"
 #include "xml/writer.h"
 
 namespace webre {
@@ -157,6 +158,96 @@ TEST_F(ParallelPipelineTest, MoreThreadsThanDocuments) {
   const RunOutputs serial = Render(RunWith(pages, 1, true));
   const RunOutputs parallel = Render(RunWith(pages, 8, true));
   ExpectIdentical(serial, parallel, 8);
+}
+
+// Every field of every schema node, compared exactly: the chunk miners'
+// merge must reproduce the serial fold bit for bit.
+void ExpectSameSchema(const SchemaNode& a, const SchemaNode& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.label, b.label) << where;
+  EXPECT_EQ(a.doc_count, b.doc_count) << where;
+  EXPECT_EQ(a.support, b.support) << where;
+  EXPECT_EQ(a.support_ratio, b.support_ratio) << where;
+  EXPECT_EQ(a.avg_position, b.avg_position) << where;
+  EXPECT_EQ(a.rep_fraction, b.rep_fraction) << where;
+  ASSERT_EQ(a.children.size(), b.children.size()) << where;
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    ExpectSameSchema(a.children[i], b.children[i],
+                     where + "/" + a.children[i].label);
+  }
+}
+
+class ChunkMinerTest : public ParallelPipelineTest {
+ protected:
+  // Healthy pages with three pages that trip the depth guard.
+  std::vector<std::string> MixedPages() {
+    std::vector<std::string> pages = Pages(45);
+    std::string deep;
+    for (int i = 0; i < 200; ++i) deep += "<div>";
+    for (size_t at : {3u, 17u, 40u}) pages.insert(pages.begin() + at, deep);
+    return pages;
+  }
+
+  PipelineResult RunChunked(const std::vector<std::string>& pages,
+                            size_t threads, size_t chunk, bool keep_going) {
+    PipelineOptions options;
+    options.limits.max_tree_depth = 64;
+    options.keep_going = keep_going;
+    options.parallel.num_threads = threads;
+    options.parallel.chunk_size = chunk;
+    Pipeline pipeline(&concepts_, &recognizer_, &constraints_, options);
+    return pipeline.Run(pages);
+  }
+};
+
+TEST_F(ChunkMinerTest, MergedChunkMinersMatchTheSerialFold) {
+  const std::vector<std::string> pages = MixedPages();
+  const PipelineResult serial = RunChunked(pages, 1, 16, true);
+  ASSERT_EQ(serial.failed_documents, 3u);
+  ASSERT_FALSE(serial.schema.empty());
+  // Failed documents never fold: the miner saw exactly the surviving
+  // documents' paths.
+  size_t offered = 0;
+  for (const auto& doc : serial.documents) {
+    if (doc != nullptr) offered += ExtractPaths(*doc).size();
+  }
+  EXPECT_EQ(serial.mining_stats.paths_offered, offered);
+  EXPECT_GT(serial.mining_stats.paths_pruned_by_constraints, 0u);
+
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    for (size_t chunk : {size_t{1}, size_t{4}, size_t{16}, pages.size()}) {
+      const PipelineResult run = RunChunked(pages, threads, chunk, true);
+      const std::string where = std::to_string(threads) + " threads, chunk " +
+                                std::to_string(chunk) + ": ";
+      EXPECT_EQ(run.failed_documents, 3u) << where;
+      const MiningStats& a = serial.mining_stats;
+      const MiningStats& b = run.mining_stats;
+      EXPECT_EQ(a.paths_offered, b.paths_offered) << where;
+      EXPECT_EQ(a.paths_pruned_by_constraints, b.paths_pruned_by_constraints)
+          << where;
+      EXPECT_EQ(a.trie_nodes, b.trie_nodes) << where;
+      EXPECT_EQ(a.frequent_paths, b.frequent_paths) << where;
+      ExpectSameSchema(serial.schema.root(), run.schema.root(), where);
+      EXPECT_EQ(serial.dtd.ToString(true), run.dtd.ToString(true)) << where;
+    }
+  }
+}
+
+TEST_F(ChunkMinerTest, KeepGoingOffAbortsBeforeDiscoveryAtEveryChunking) {
+  const std::vector<std::string> pages = MixedPages();
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    for (size_t chunk : {size_t{1}, size_t{4}, size_t{16}, pages.size()}) {
+      const PipelineResult run = RunChunked(pages, threads, chunk, false);
+      const std::string where = std::to_string(threads) + " threads, chunk " +
+                                std::to_string(chunk);
+      EXPECT_TRUE(run.aborted) << where;
+      EXPECT_EQ(run.failed_documents, 3u) << where;
+      EXPECT_TRUE(run.schema.empty()) << where;
+      EXPECT_TRUE(run.dtd.elements().empty()) << where;
+      EXPECT_EQ(run.mining_stats.paths_offered, 0u) << where;
+      EXPECT_EQ(run.mining_stats.trie_nodes, 0u) << where;
+    }
+  }
 }
 
 TEST_F(ParallelPipelineTest, EmptyInputWithThreads) {

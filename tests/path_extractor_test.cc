@@ -22,16 +22,18 @@ std::unique_ptr<Node> FigureTreeA() {
 
 std::vector<std::string> JoinedPaths(const DocumentPaths& paths) {
   std::vector<std::string> out;
-  for (const LabelPath& p : paths.paths) out.push_back(JoinLabelPath(p));
+  for (size_t i = 0; i < paths.size(); ++i) {
+    out.push_back(JoinLabelPath(LabelPathAt(paths, i)));
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
 
 // Index of the path whose joined form is `joined`; the statistics
-// vectors are parallel to `paths`.
+// vectors are parallel to the paths.
 size_t IndexOf(const DocumentPaths& paths, const std::string& joined) {
-  for (size_t i = 0; i < paths.paths.size(); ++i) {
-    if (JoinLabelPath(paths.paths[i]) == joined) return i;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (JoinLabelPath(LabelPathAt(paths, i)) == joined) return i;
   }
   ADD_FAILURE() << "path not found: " << joined;
   return 0;
@@ -67,7 +69,7 @@ TEST(PathExtractorTest, DuplicatePathsDeduplicated) {
     root->AddElement("education")->AddElement("date");
   }
   DocumentPaths paths = ExtractPaths(*root);
-  EXPECT_EQ(paths.paths.size(), 3u);  // resume, resume/education, .../date
+  EXPECT_EQ(paths.size(), 3u);  // resume, resume/education, .../date
 }
 
 TEST(PathExtractorTest, MultiplicityIsMaxSameLabelSiblings) {
@@ -79,7 +81,7 @@ TEST(PathExtractorTest, MultiplicityIsMaxSameLabelSiblings) {
   Node* e2 = root->AddElement("education");
   e2->AddElement("date");
   DocumentPaths paths = ExtractPaths(*root);
-  ASSERT_EQ(paths.max_multiplicity.size(), paths.paths.size());
+  ASSERT_EQ(paths.max_multiplicity.size(), paths.size());
   EXPECT_EQ(paths.max_multiplicity[IndexOf(paths, "resume/education/date")],
             3u);
   EXPECT_EQ(paths.max_multiplicity[IndexOf(paths, "resume/education")], 2u);
@@ -92,8 +94,8 @@ TEST(PathExtractorTest, PositionStatsAveragePosition) {
   root->AddElement("education");  // position 1
   root->AddElement("education");  // position 2
   DocumentPaths paths = ExtractPaths(*root);
-  ASSERT_EQ(paths.position_sum.size(), paths.paths.size());
-  ASSERT_EQ(paths.position_count.size(), paths.paths.size());
+  ASSERT_EQ(paths.position_sum.size(), paths.size());
+  ASSERT_EQ(paths.position_count.size(), paths.size());
   const size_t contact = IndexOf(paths, "resume/contact");
   const size_t education = IndexOf(paths, "resume/education");
   EXPECT_DOUBLE_EQ(paths.position_sum[contact], 0.0);
@@ -108,7 +110,7 @@ TEST(PathExtractorTest, TextNodesIgnored) {
   Node* c = root->AddElement("contact");
   c->AddText("more");
   DocumentPaths paths = ExtractPaths(*root);
-  EXPECT_EQ(paths.paths.size(), 2u);
+  EXPECT_EQ(paths.size(), 2u);
   // contact is the first *element* child: position 0 despite the text.
   EXPECT_DOUBLE_EQ(paths.position_sum[IndexOf(paths, "resume/contact")], 0.0);
 }
@@ -116,15 +118,15 @@ TEST(PathExtractorTest, TextNodesIgnored) {
 TEST(PathExtractorTest, SingleNodeDocument) {
   auto root = Node::MakeElement("resume");
   DocumentPaths paths = ExtractPaths(*root);
-  ASSERT_EQ(paths.paths.size(), 1u);
-  EXPECT_EQ(JoinLabelPath(paths.paths[0]), "resume");
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_EQ(JoinLabelPath(LabelPathAt(paths, 0)), "resume");
 }
 
 TEST(PathExtractorTest, SameLabelAtDifferentDepthsDistinct) {
   auto root = Node::MakeElement("r");
   root->AddElement("a")->AddElement("a");
   DocumentPaths paths = ExtractPaths(*root);
-  EXPECT_EQ(paths.paths.size(), 3u);  // r, r/a, r/a/a
+  EXPECT_EQ(paths.size(), 3u);  // r, r/a, r/a/a
 }
 
 }  // namespace

@@ -74,13 +74,13 @@ TEST(ResumeDomainTest, ConstraintsMatchPaperSetup) {
   EXPECT_TRUE(constraints.no_repeat_on_path());
   EXPECT_EQ(constraints.max_level(), 3u);
   // Title concepts only at level 1.
-  EXPECT_TRUE(constraints.AllowedAtLevel("EDUCATION", 1));
-  EXPECT_FALSE(constraints.AllowedAtLevel("EDUCATION", 2));
+  EXPECT_TRUE(constraints.AllowedAtLevel(InternName("EDUCATION"), 1));
+  EXPECT_FALSE(constraints.AllowedAtLevel(InternName("EDUCATION"), 2));
   // Content concepts only below level 1.
-  EXPECT_FALSE(constraints.AllowedAtLevel("DATE", 1));
-  EXPECT_TRUE(constraints.AllowedAtLevel("DATE", 2));
-  EXPECT_TRUE(constraints.AllowedAtLevel("DATE", 3));
-  EXPECT_FALSE(constraints.AllowedAtLevel("DATE", 4));  // max level
+  EXPECT_FALSE(constraints.AllowedAtLevel(InternName("DATE"), 1));
+  EXPECT_TRUE(constraints.AllowedAtLevel(InternName("DATE"), 2));
+  EXPECT_TRUE(constraints.AllowedAtLevel(InternName("DATE"), 3));
+  EXPECT_FALSE(constraints.AllowedAtLevel(InternName("DATE"), 4));  // max level
 }
 
 TEST(ResumeDomainTest, InstancesDoNotShadowEachOtherAcrossConcepts) {

@@ -118,12 +118,14 @@ class EverythingRecognizer : public ConceptRecognizer {
   std::vector<InstanceMatch> Recognize(
       std::string_view text) const override {
     std::vector<InstanceMatch> matches{
-        InstanceMatch{date_, "DATE", 0, text.size()}};
+        InstanceMatch{date_, "DATE", 0, text.size(), false,
+                      InternName("DATE")}};
     const size_t space = text.find(' ');
     if (space != std::string_view::npos) {
       matches[0].length = space;
       matches.push_back(
-          InstanceMatch{jobtitle_, "JOBTITLE", space, text.size() - space});
+          InstanceMatch{jobtitle_, "JOBTITLE", space, text.size() - space,
+                        false, InternName("JOBTITLE")});
     }
     return matches;
   }

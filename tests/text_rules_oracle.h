@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "constraints_oracle.h"
 #include "restructure/text_rules.h"
 #include "util/strings.h"
 #include "xml/node.h"
@@ -191,8 +192,9 @@ class InstanceRule {
   void RefineWithSiblingConstraints(std::vector<InstanceMatch>& matches) {
     std::vector<InstanceMatch> kept;
     for (const InstanceMatch& m : matches) {
-      if (!kept.empty() && !constraints_->SiblingAllowed(
-                               kept.back().concept_name, m.concept_name)) {
+      if (!kept.empty() &&
+          !oracle::SiblingAllowed(*constraints_, kept.back().concept_name,
+                                  m.concept_name)) {
         ++stats_.segments_vetoed;
         continue;
       }
