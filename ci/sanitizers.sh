@@ -4,7 +4,7 @@
 # ASan+UBSan (fault-isolation paths must be free of memory errors and
 # UB, including on the pathological/fuzz inputs).
 #
-# Usage: ci/sanitizers.sh [tsan|asan|serve-tsan|asan-convert|all]
+# Usage: ci/sanitizers.sh [tsan|asan|serve-tsan|asan-convert|asan-storage|all]
 #        (default: all)
 #
 # serve-tsan runs only the `serve`-labeled tests (the multi-reactor
@@ -14,6 +14,10 @@
 # differential, pathological input, resource limits, consolidation and
 # crawler) under ASan+UBSan — the targeted sweep for changes to the
 # conversion path, which splices and re-homes nodes and views text.
+# asan-storage runs only the `storage`-labeled tests (storage, snapshot
+# reload and crash injection) under ASan+UBSan — the targeted sweep for
+# changes to WAL replay and snapshot restore, which hand mapped FlatDoc
+# views straight to the repository without walking them.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,7 +41,8 @@ run_config() {
   # pinned to the scalar kernel: sanitizers don't see through SIMD
   # intrinsics uniformly, and the scalar path is the differential
   # reference every vector kernel is checked against. Skipped for
-  # targeted sweeps of other labels (serve-tsan, asan-convert).
+  # targeted sweeps of other labels (serve-tsan, asan-convert,
+  # asan-storage).
   if [ -z "${label}" ] || [ "${label}" = query ]; then
     echo "=== ${name}: WEBRE_SIMD=scalar (label query) ==="
     WEBRE_SIMD=scalar \
@@ -52,12 +57,13 @@ case "${mode}" in
   asan) run_config asan address+undefined ;;
   serve-tsan) run_config tsan thread serve ;;
   asan-convert) run_config asan address+undefined convert ;;
+  asan-storage) run_config asan address+undefined storage ;;
   all)
     run_config tsan thread
     run_config asan address+undefined
     ;;
   *)
-    echo "usage: $0 [tsan|asan|serve-tsan|asan-convert|all]" >&2
+    echo "usage: $0 [tsan|asan|serve-tsan|asan-convert|asan-storage|all]" >&2
     exit 2
     ;;
 esac

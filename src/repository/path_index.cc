@@ -42,159 +42,6 @@ LocalDocumentPaths CollectLocalPaths(const FlatDoc& doc) {
   return out;
 }
 
-void CollectRestorePaths(const FlatDoc& doc, LocalDocumentPaths& local,
-                         DocumentPaths& mined) {
-  local = LocalDocumentPaths{};
-  mined = DocumentPaths{};
-  const uint32_t count = doc.element_count();
-  if (count == 0) return;
-  local.element_count = count;
-
-  // Dense per-document trie, open-addressed on (parent, name) like
-  // schema extraction's PathTable. `emit` is the path's position in
-  // first-visit order — the order both CollectLocalPaths and
-  // ExtractPaths publish paths in, which downstream code relies on
-  // matching the non-restore admission path exactly.
-  constexpr uint32_t kNoDense = 0xFFFFFFFFu;
-  struct DenseEntry {
-    uint32_t parent;  // dense index of the parent path, kNoDense at root
-    NameId name;
-    size_t max_multiplicity = 0;
-    double position_sum = 0.0;
-    size_t position_count = 0;
-    uint32_t emit = kNoDense;
-    std::vector<uint32_t> occurrences;
-  };
-  constexpr uint64_t kEmptySlot = 0xFFFFFFFFFFFFFFFFull;
-  std::vector<DenseEntry> entries;
-  std::vector<uint64_t> keys(128, kEmptySlot);
-  std::vector<uint32_t> values(128);
-  size_t mask = keys.size() - 1;
-  size_t used = 0;
-  auto mix = [](uint64_t key) {
-    key ^= key >> 30;
-    key *= 0xbf58476d1ce4e5b9ull;
-    key ^= key >> 27;
-    key *= 0x94d049bb133111ebull;
-    key ^= key >> 31;
-    return key;
-  };
-  auto resolve = [&](uint32_t parent, NameId name) -> uint32_t {
-    const uint64_t key = (static_cast<uint64_t>(parent) << 32) | name;
-    size_t slot = mix(key) & mask;
-    while (true) {
-      if (keys[slot] == key) return values[slot];
-      if (keys[slot] == kEmptySlot) break;
-      slot = (slot + 1) & mask;
-    }
-    const uint32_t index = static_cast<uint32_t>(entries.size());
-    DenseEntry entry;
-    entry.parent = parent;
-    entry.name = name;
-    entries.push_back(std::move(entry));
-    keys[slot] = key;
-    values[slot] = index;
-    if (++used * 4 > keys.size() * 3) {
-      std::vector<uint64_t> old_keys = std::move(keys);
-      std::vector<uint32_t> old_values = std::move(values);
-      keys.assign(old_keys.size() * 2, kEmptySlot);
-      values.assign(old_keys.size() * 2, 0);
-      mask = keys.size() - 1;
-      for (size_t i = 0; i < old_keys.size(); ++i) {
-        if (old_keys[i] == kEmptySlot) continue;
-        size_t s = mix(old_keys[i]) & mask;
-        while (keys[s] != kEmptySlot) s = (s + 1) & mask;
-        keys[s] = old_keys[i];
-        values[s] = old_values[i];
-      }
-    }
-    return index;
-  };
-
-  // Same replay of the original tree walk as ExtractPaths(FlatDoc) —
-  // emit, sibling multiplicity counting, child ordinal positions —
-  // with occurrence recording folded into the visit so the document is
-  // traversed once instead of twice.
-  std::vector<uint32_t> elem_path(count);
-  std::vector<uint32_t> emit_order;
-  std::vector<std::pair<NameId, size_t>> counts;
-  elem_path[0] = resolve(kNoDense, doc.name(0));
-  entries[elem_path[0]].max_multiplicity = 1;  // the root occurs once
-
-  for (uint32_t e = 0; e < count; ++e) {
-    const uint32_t path_index = elem_path[e];
-    {
-      DenseEntry& entry = entries[path_index];
-      if (entry.emit == kNoDense) {
-        entry.emit = static_cast<uint32_t>(emit_order.size());
-        emit_order.push_back(path_index);
-      }
-      entry.occurrences.push_back(e);
-    }
-
-    counts.clear();
-    const uint32_t end = doc.subtree_end(e);
-    for (uint32_t f = e + 1; f < end; f = doc.subtree_end(f)) {
-      const NameId name = doc.name(f);
-      bool found = false;
-      for (auto& [id, n] : counts) {
-        if (id == name) {
-          ++n;
-          found = true;
-          break;
-        }
-      }
-      if (!found) counts.emplace_back(name, 1);
-    }
-    uint32_t element_index = 0;
-    for (uint32_t f = e + 1; f < end; f = doc.subtree_end(f)) {
-      // resolve() may grow `entries`; re-index after it returns.
-      const uint32_t child_path = resolve(path_index, doc.name(f));
-      elem_path[f] = child_path;
-      size_t multiplicity = 0;
-      for (const auto& [id, n] : counts) {
-        if (id == doc.name(f)) {
-          multiplicity = n;
-          break;
-        }
-      }
-      DenseEntry& entry = entries[child_path];
-      entry.max_multiplicity = std::max(entry.max_multiplicity, multiplicity);
-      entry.position_sum += static_cast<double>(element_index);
-      ++entry.position_count;
-      ++element_index;
-    }
-  }
-
-  // Publish both feeds in emit order. Every resolved path was visited
-  // (each child index is reached by the outer loop), and pre-order
-  // guarantees a parent's emit slot is assigned before its children's.
-  const size_t n = emit_order.size();
-  local.paths.resize(n);
-  mined.max_multiplicity.reserve(n);
-  mined.position_sum.reserve(n);
-  mined.position_count.reserve(n);
-  mined.parent_index.reserve(n);
-  mined.leaf_name.reserve(n);
-  for (size_t k = 0; k < n; ++k) {
-    DenseEntry& entry = entries[emit_order[k]];
-    const uint32_t parent_emit = entry.parent == kNoDense
-                                     ? LocalDocumentPaths::kNoParent
-                                     : entries[entry.parent].emit;
-    LocalDocumentPaths::Path& path = local.paths[k];
-    path.parent = parent_emit;
-    path.name = entry.name;
-    path.occurrences = std::move(entry.occurrences);
-    mined.parent_index.push_back(parent_emit == LocalDocumentPaths::kNoParent
-                                     ? DocumentPaths::kNoParentPath
-                                     : parent_emit);
-    mined.leaf_name.push_back(entry.name);
-    mined.max_multiplicity.push_back(entry.max_multiplicity);
-    mined.position_sum.push_back(entry.position_sum);
-    mined.position_count.push_back(entry.position_count);
-  }
-}
-
 namespace {
 
 /// Sorted-unique insertion, optimized for the common in-order arrival

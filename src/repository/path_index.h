@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "schema/path_extractor.h"
 #include "util/status.h"
 #include "xml/flat_doc.h"
 #include "xml/name_table.h"
@@ -53,12 +52,6 @@ struct LocalDocumentPaths {
 /// path: one linear pass resolving each element's path from its
 /// parent's (pre-order guarantees parents come first).
 LocalDocumentPaths CollectLocalPaths(const FlatDoc& doc);
-
-/// Snapshot-restore fast path: ONE pass over the frozen document fills
-/// both the index feed (`local`, bit-identical to CollectLocalPaths)
-/// and the mining feed (`mined`, identical to ExtractPaths).
-void CollectRestorePaths(const FlatDoc& doc, LocalDocumentPaths& local,
-                         DocumentPaths& mined);
 
 /// A DataGuide-style structural summary: the trie of every distinct
 /// label path seen across the indexed documents, hash-consed on

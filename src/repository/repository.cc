@@ -269,7 +269,7 @@ void XmlRepository::SetDtd(Dtd dtd) {
   has_dtd_ = true;
 }
 
-StatusOr<XmlRepository::Prepared> XmlRepository::Prepare(
+StatusOr<std::unique_ptr<FlatDoc>> XmlRepository::Prepare(
     std::unique_ptr<Node> document) const {
   if (document == nullptr || !document->is_element()) {
     return Status::InvalidArgument("document root must be an element");
@@ -282,29 +282,23 @@ StatusOr<XmlRepository::Prepared> XmlRepository::Prepare(
           validation.violations[0].message);
     }
   }
-  // ExtractPaths feeds the mining trie; admission collects the
-  // structural indexes' element occurrences from the frozen form.
-  Prepared prepared;
-  prepared.mined = ExtractPaths(*document);
-  prepared.flat = FlatDoc::Freeze(*document);
-  // The tree has served its purpose: free it before admission even
-  // begins.
-  document.reset();
-  return prepared;
+  // The tree has served its purpose once frozen: it is freed here,
+  // before admission even begins.
+  return FlatDoc::Freeze(*document);
 }
 
 StatusOr<DocId> XmlRepository::Add(std::unique_ptr<Node> document) {
-  // Everything per-document — validation, path extraction, freezing —
-  // runs outside any lock; only the index/trie updates are serialized.
-  StatusOr<Prepared> prepared = Prepare(std::move(document));
-  if (!prepared.ok()) return prepared.status();
-  return AdmitFrozen(std::move(prepared->flat), prepared->mined,
-                     /*feed_summary=*/true);
+  // Everything per-document — validation, freezing — runs outside any
+  // lock; only the index updates are serialized.
+  StatusOr<std::unique_ptr<FlatDoc>> flat = Prepare(std::move(document));
+  if (!flat.ok()) return flat.status();
+  return AddFrozen(std::move(flat).value());
 }
 
-DocId XmlRepository::AdmitFrozen(std::unique_ptr<FlatDoc> flat,
-                                 const DocumentPaths& mined,
-                                 bool feed_summary) {
+StatusOr<DocId> XmlRepository::AddFrozen(std::unique_ptr<FlatDoc> flat) {
+  if (flat == nullptr || flat->element_count() == 0) {
+    return Status::InvalidArgument("frozen document must have a root element");
+  }
   LocalDocumentPaths local = CollectLocalPaths(*flat);
   flat_bytes_.Add(flat->block_bytes());
   const FlatDoc* flat_ptr = flat.get();
@@ -316,11 +310,10 @@ DocId XmlRepository::AdmitFrozen(std::unique_ptr<FlatDoc> flat,
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
     if (shard.slots.size() <= slot) shard.slots.resize(slot + 1);
-    shard.miner.AddDocumentPaths(mined);
     shard.elements += local.element_count;
     shard.slots[slot] = std::move(flat);
   }
-  if (feed_summary) {
+  {
     // Lock order: shard, then summary (same as every reader). The
     // summary's occurrences carry flat_ptr; releasing this lock
     // publishes the (immutable) FlatDoc to lock-free readers.
@@ -340,26 +333,8 @@ void XmlRepository::SnapshotGenerations(std::vector<uint64_t>& out) const {
   }
 }
 
-StatusOr<DocId> XmlRepository::AddFrozen(std::unique_ptr<FlatDoc> flat,
-                                         const DocumentPaths& mined) {
-  if (flat == nullptr || flat->element_count() == 0) {
-    return Status::InvalidArgument("frozen document must have a root element");
-  }
-  return AdmitFrozen(std::move(flat), mined, /*feed_summary=*/true);
-}
-
-StatusOr<DocId> XmlRepository::RestoreDocument(std::unique_ptr<FlatDoc> flat,
-                                               const DocumentPaths& mined) {
-  if (flat == nullptr || flat->element_count() == 0) {
-    return Status::InvalidArgument("frozen document must have a root element");
-  }
-  return AdmitFrozen(std::move(flat), mined, /*feed_summary=*/false);
-}
-
 Status XmlRepository::RestoreDocumentAt(DocId id,
-                                        std::unique_ptr<FlatDoc> flat,
-                                        LocalDocumentPaths local,
-                                        const DocumentPaths& mined) {
+                                        std::unique_ptr<FlatDoc> flat) {
   if (flat == nullptr || flat->element_count() == 0) {
     return Status::InvalidArgument("frozen document must have a root element");
   }
@@ -373,8 +348,7 @@ Status XmlRepository::RestoreDocumentAt(DocId id,
   if (shard.slots[slot] != nullptr) {
     return Status::InvalidArgument("restore: document id already occupied");
   }
-  shard.miner.AddDocumentPaths(mined);
-  shard.elements += local.element_count;
+  shard.elements += flat->element_count();
   shard.slots[slot] = std::move(flat);
   return Status::Ok();
 }
@@ -607,14 +581,24 @@ RepositoryStats XmlRepository::Stats() const {
 
 MajoritySchema XmlRepository::DiscoverSchema(
     const MiningOptions& options) const {
-  // Merge the per-shard tries fed at Add time — no stored document is
-  // re-walked. Constraints (if any) are applied by Discover() itself.
-  FrequentPathMiner merged(options);
+  FrequentPathMiner miner(options);
+  std::vector<const FlatDoc*> docs;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    merged.MergeFrom(shard->miner);
+    docs.clear();
+    {
+      std::shared_lock<std::shared_mutex> lock(shard->mutex);
+      docs.reserve(shard->slots.size());
+      for (const std::unique_ptr<FlatDoc>& flat : shard->slots) {
+        if (flat != nullptr) docs.push_back(flat.get());
+      }
+    }
+    // Every miner statistic is an order-independent sum, so shard-major
+    // order mines exactly what id order would.
+    for (const FlatDoc* flat : docs) {
+      miner.AddDocumentPaths(ExtractPaths(*flat));
+    }
   }
-  return merged.Discover();
+  return miner.Discover();
 }
 
 obs::QueryStatsView XmlRepository::query_stats() const {

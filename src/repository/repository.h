@@ -67,13 +67,14 @@ struct RepositoryOptions {
 /// Quixote prototype [11]) — organized as a concurrent serving layer.
 ///
 /// Layout: documents are sharded by id (shard = id mod N). Each shard
-/// owns its documents, an incrementally-fed FrequentPathMiner trie and
-/// a shared_mutex, so reads proceed concurrently with each other and
-/// with Add on other shards. A repository-wide structural summary (a
-/// DataGuide over NameId paths) keeps, per path, its element
-/// occurrences and a value column — the path's ASCII-lowered values
-/// concatenated in (doc, pos) order — and answers every query without
-/// touching any shard.
+/// owns its documents and a shared_mutex, so reads proceed concurrently
+/// with each other and with Add on other shards. A repository-wide
+/// structural summary (a DataGuide over NameId paths) keeps, per path,
+/// its element occurrences and a value column — the path's ASCII-lowered
+/// values concatenated in (doc, pos) order — and answers every query
+/// without touching any shard. The summary is the repository's one
+/// path trie: schema discovery mines the stored documents on demand
+/// (DiscoverSchema) instead of keeping a second trie fed at admission.
 ///
 /// Storage: Add freezes each admitted tree into a FlatDoc — one
 /// contiguous read-only block per document — and frees the tree before
@@ -129,28 +130,22 @@ class XmlRepository {
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// Adds a document, indexing its label paths, feeding the shard's
-  /// schema-mining trie and updating the structural summary. Safe to
-  /// call concurrently with other Add and Query calls. With a DTD set,
-  /// a non-conforming document is rejected (FailedPrecondition) listing
-  /// the first violation. The tree is frozen into a FlatDoc and freed
-  /// before admission completes; a tree carved from a NodeArena is
-  /// freed into it, so the caller keeps that arena alive across the
-  /// call and may drop it as soon as Add returns.
+  /// Adds a document, indexing its label paths in the structural
+  /// summary. Safe to call concurrently with other Add and Query calls.
+  /// With a DTD set, a non-conforming document is rejected
+  /// (FailedPrecondition) listing the first violation. The tree is
+  /// frozen into a FlatDoc and freed before admission completes; a
+  /// tree carved from a NodeArena is freed into it, so the caller keeps
+  /// that arena alive across the call and may drop it as soon as Add
+  /// returns.
   StatusOr<DocId> Add(std::unique_ptr<Node> document);
-
-  /// A document ready for admission: its frozen form and its mining
-  /// feed (ExtractPaths of the same document).
-  struct Prepared {
-    std::unique_ptr<FlatDoc> flat;
-    DocumentPaths mined;
-  };
 
   /// The admission prelude of Add, shared with DurableRepository::Add:
   /// checks that the root is an element, validates against the DTD when
-  /// one is set (the first violation names the error), extracts the
-  /// label paths, freezes the tree and frees it. Takes no lock.
-  StatusOr<Prepared> Prepare(std::unique_ptr<Node> document) const;
+  /// one is set (the first violation names the error), freezes the tree
+  /// and frees it. Takes no lock.
+  StatusOr<std::unique_ptr<FlatDoc>> Prepare(
+      std::unique_ptr<Node> document) const;
 
   // ---- Storage-layer surface (src/storage) ----
   //
@@ -160,32 +155,20 @@ class XmlRepository {
   // admission, and DurableRepository::Add validates before freezing.
 
   /// Admits an already-frozen document: full admission including the
-  /// structural summary, identical in every observable way to Add(). `mined` must be ExtractPaths of the same
-  /// document (the flat overload produces it). Used by durable Add and
-  /// WAL replay. Thread-safe like Add.
-  StatusOr<DocId> AddFrozen(std::unique_ptr<FlatDoc> flat,
-                            const DocumentPaths& mined);
+  /// structural summary, identical in every observable way to Add().
+  /// Used by durable Add and WAL replay. Thread-safe like Add.
+  StatusOr<DocId> AddFrozen(std::unique_ptr<FlatDoc> flat);
 
-  /// Snapshot restore: like AddFrozen but does not touch the structural
-  /// summary — the snapshot loader installs the summary wholesale via
-  /// RestoreSummaryEntry, so per-document feeding would double-count.
-  /// Call serially, before serving starts.
-  StatusOr<DocId> RestoreDocument(std::unique_ptr<FlatDoc> flat,
-                                  const DocumentPaths& mined);
-
-  /// Parallel form of RestoreDocument: admits `flat` at exactly `id`
-  /// instead of allocating the next one, so the snapshot loader can
-  /// restore shards concurrently (shard structures are disjoint; ids
-  /// within one shard must still arrive in ascending order, and each
-  /// id must be restored exactly once). Does not advance size() —
-  /// call SealRestore once every document is in, before any
+  /// Snapshot restore: stores `flat` at exactly `id` without touching
+  /// the structural summary — the snapshot loader installs the summary
+  /// wholesale via RestoreSummaryEntry, so per-document feeding would
+  /// double-count — and without walking the document. Shards may be
+  /// restored concurrently (shard structures are disjoint; ids within
+  /// one shard must still arrive in ascending order, and each id must
+  /// be restored exactly once). Does not advance size() — call
+  /// SealRestore once every document is in, before any
   /// RestoreSummaryEntry or serving.
-  /// `local` and `mined` are the caller's pre-walked feeds (the loader
-  /// produces both in one pass via CollectRestorePaths); they must
-  /// describe exactly `flat`.
-  Status RestoreDocumentAt(DocId id, std::unique_ptr<FlatDoc> flat,
-                           LocalDocumentPaths local,
-                           const DocumentPaths& mined);
+  Status RestoreDocumentAt(DocId id, std::unique_ptr<FlatDoc> flat);
 
   /// Publishes a RestoreDocumentAt prefix: size() becomes `doc_count`.
   void SealRestore(size_t doc_count);
@@ -237,10 +220,15 @@ class XmlRepository {
 
   RepositoryStats Stats() const;
 
-  /// Discovers the majority schema of the stored documents by merging
-  /// the per-shard mining tries fed at Add time — no stored tree is
-  /// re-walked, and the result is identical for every shard count.
-  /// Constraints in `options` are applied at discovery.
+  /// Discovers the majority schema of the stored documents: one
+  /// FrequentPathMiner built with `options` mines every stored FlatDoc
+  /// (ExtractPaths), so the result equals a fresh miner's over the same
+  /// documents for every shard count, threshold and constraint set.
+  /// Costs one walk per stored document per call. Each shard's document
+  /// pointers are copied under its shared lock and mined outside it
+  /// (stored FlatDocs are immutable and live as long as the
+  /// repository), so concurrent Adds wait only for the copy; documents
+  /// admitted during the call may or may not be counted.
   MajoritySchema DiscoverSchema(const MiningOptions& options = {}) const;
 
   /// Snapshot of the query.* counters and the per-query latency
@@ -253,20 +241,12 @@ class XmlRepository {
     /// Documents of this shard; slot = id / num_shards. Null = a
     /// transient hole while a lower id's Add is in flight.
     std::vector<std::unique_ptr<FlatDoc>> slots;
-    /// Schema-mining trie over this shard's documents, fed at Add.
-    FrequentPathMiner miner;
     /// Element count, maintained incrementally at Add.
     size_t elements = 0;
     /// Admissions completed on this shard; bumped (release) only after
     /// the document is visible everywhere, read by SnapshotGenerations.
     std::atomic<uint64_t> generation{0};
   };
-
-  /// Shared tail of Add/AddFrozen/RestoreDocument: indexes, feeds the
-  /// shard miner and publishes the frozen document (and, when
-  /// `feed_summary`, the structural summary).
-  DocId AdmitFrozen(std::unique_ptr<FlatDoc> flat, const DocumentPaths& mined,
-                    bool feed_summary);
 
   /// Predicate-free query: the matched paths' occurrence runs, merged
   /// into (doc, pos) order.

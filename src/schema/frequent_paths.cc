@@ -130,7 +130,6 @@ void FrequentPathMiner::MergeFrom(const FrequentPathMiner& other) {
 
 void FrequentPathMiner::BuildSchemaNode(const TrieNode& trie,
                                         double parent_support,
-                                        std::vector<NameId>& path,
                                         SchemaNode& out) const {
   out.label = std::string(LabelOf(trie.label));
   out.doc_count = trie.doc_count;
@@ -161,20 +160,9 @@ void FrequentPathMiner::BuildSchemaNode(const TrieNode& trie,
     // need not be considered").
     if (child_support < options_.sup_threshold) continue;
     if (ratio < options_.ratio_threshold) continue;
-    // Constraints may arrive only at Discover() time (a repository feeds
-    // the trie long before DiscoverSchema names a constraint set).
-    // Filtering the descent here is equivalent to insertion-time pruning
-    // because a path rejected at insertion leaves a zero-count node the
-    // support threshold already skips. `path` is allowed, so only the
-    // child's leaf needs checking.
-    path.push_back(id);
-    if (options_.constraints == nullptr ||
-        options_.constraints->LeafAllowed(path)) {
-      SchemaNode child_schema;
-      BuildSchemaNode(*child, out.support, path, child_schema);
-      out.children.push_back(std::move(child_schema));
-    }
-    path.pop_back();
+    SchemaNode child_schema;
+    BuildSchemaNode(*child, out.support, child_schema);
+    out.children.push_back(std::move(child_schema));
   }
   // Ordering rule (§3.3): children ordered by average child position in
   // the documents containing the parent prefix.
@@ -214,11 +202,6 @@ MajoritySchema FrequentPathMiner::Discover() {
   std::vector<std::pair<std::string_view, const TrieNode*>> roots;
   roots.reserve(root_->children.size());
   for (const auto& [id, child] : root_->children) {
-    const NameId probe[] = {id};
-    if (options_.constraints != nullptr &&
-        !options_.constraints->LeafAllowed(probe)) {
-      continue;
-    }
     roots.emplace_back(LabelOf(id), child.get());
   }
   std::sort(roots.begin(), roots.end(),
@@ -229,10 +212,6 @@ MajoritySchema FrequentPathMiner::Discover() {
       best = child;
     }
   }
-  if (best == nullptr) {
-    stats_.frequent_paths = 0;
-    return MajoritySchema();
-  }
   const double root_support = static_cast<double>(best->doc_count) /
                               static_cast<double>(document_count_);
   if (root_support < options_.sup_threshold && options_.sup_threshold > 0) {
@@ -241,8 +220,7 @@ MajoritySchema FrequentPathMiner::Discover() {
   }
 
   SchemaNode root_schema;
-  std::vector<NameId> path = {best->label};
-  BuildSchemaNode(*best, 0.0, path, root_schema);
+  BuildSchemaNode(*best, 0.0, root_schema);
   stats_.frequent_paths = CountSchemaNodes(root_schema);
   return MajoritySchema(std::move(root_schema));
 }

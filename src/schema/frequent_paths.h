@@ -23,9 +23,10 @@ struct MiningOptions {
   /// repThreshold for the repetitive-elements rule; the paper found 3
   /// useful ("a fact that also has been observed in [Xtract]").
   size_t rep_threshold = 3;
-  /// Optional concept constraints; paths violating them are pruned at
-  /// insertion, shrinking the explored search space (§4.2). Not owned;
-  /// may be null.
+  /// Optional concept constraints, applied at insertion only: a path
+  /// violating them is pruned before it touches the trie, shrinking the
+  /// explored search space (§4.2), and Discover never re-checks them —
+  /// so set them before the first AddDocument. Not owned; may be null.
   const ConstraintSet* constraints = nullptr;
 };
 
@@ -68,10 +69,11 @@ class FrequentPathMiner {
   void AddDocumentPaths(const DocumentPaths& paths);
 
   /// Folds another miner's search space into this one. All per-path
-  /// statistics are order-independent sums, so merging per-shard miners
-  /// yields exactly the trie a single miner fed with every document
-  /// would hold — this is what makes repository-side discovery
-  /// shard-count invariant. `other` is left untouched.
+  /// statistics are order-independent sums, so merging the batch
+  /// pipeline's per-chunk miners yields exactly the trie a single miner
+  /// fed with every document would hold, provided all were built with
+  /// the same rep_threshold and constraints (both act at insertion).
+  /// `other` is left untouched.
   void MergeFrom(const FrequentPathMiner& other);
 
   /// Number of documents added.
@@ -82,8 +84,10 @@ class FrequentPathMiner {
   const MiningStats& stats() const { return stats_; }
 
   /// Computes the majority schema under the current thresholds. May be
-  /// called repeatedly (e.g. with adjusted thresholds via
-  /// mutable_options) without re-adding documents.
+  /// called repeatedly (e.g. with adjusted sup/ratio thresholds via
+  /// mutable_options) without re-adding documents; rep_threshold and
+  /// constraints act at insertion, so changing them later has no
+  /// effect on documents already added.
   MajoritySchema Discover();
 
   MiningOptions& mutable_options() { return options_; }
@@ -97,7 +101,7 @@ class FrequentPathMiner {
   struct TrieNode;
 
   void BuildSchemaNode(const TrieNode& trie, double parent_support,
-                       std::vector<NameId>& path, SchemaNode& out) const;
+                       SchemaNode& out) const;
   /// Constraint verdict for the leaf of path `pi`, whose parent path is
   /// known to be allowed.
   bool LeafAllowed(const DocumentPaths& paths, size_t pi);

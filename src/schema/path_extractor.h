@@ -64,10 +64,11 @@ DocumentPaths ExtractPaths(const Node& root);
 
 /// The same extraction over a frozen document. Produces a DocumentPaths
 /// bit-identical to ExtractPaths on the tree the FlatDoc was frozen
-/// from (same emit order, multiplicities and position statistics) —
-/// the storage layer relies on this equivalence to rebuild per-shard
-/// mining tries from WAL records and snapshots without keeping any
-/// pointer tree around (tests/storage_test.cc pins it).
+/// from (same emit order, multiplicities and position statistics), so
+/// XmlRepository::DiscoverSchema mines its stored documents — whether
+/// admitted live, replayed from the WAL or mapped from a snapshot —
+/// exactly as a miner fed the original trees would
+/// (tests/storage_test.cc pins the equivalence).
 DocumentPaths ExtractPaths(const FlatDoc& doc);
 
 }  // namespace webre

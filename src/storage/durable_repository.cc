@@ -12,7 +12,6 @@
 #include <set>
 #include <thread>
 
-#include "schema/path_extractor.h"
 #include "storage/crash_point.h"
 #include "storage/snapshot.h"
 #include "util/file.h"
@@ -82,11 +81,11 @@ Status DurableRepository::Recover() {
     snapshot_bytes_.store(snapshot_.bytes().size(), std::memory_order_relaxed);
 
     const NameId writer_limit = static_cast<NameId>(loaded.name_map.size());
-    // Restore is shard-partitioned (shard = id mod N, per-shard index
-    // and miner), so shards rebuild concurrently — this loop, not the
-    // mmap, is the bulk of warmup on a large snapshot. Per-shard state
-    // is byte-identical to a serial restore: each worker feeds its
-    // shard the same ascending id sequence the serial loop would.
+    // Restore is shard-partitioned (shard = id mod N), so shards fill
+    // concurrently — this loop, not the mmap, is the bulk of warmup on
+    // a large snapshot. Per-shard state is byte-identical to a serial
+    // restore: each worker feeds its shard the same ascending id
+    // sequence the serial loop would.
     const size_t doc_total = loaded.documents.size();
     const size_t restore_shards = repo_->num_shards();
     auto restore_one = [&](DocId id) -> Status {
@@ -122,12 +121,9 @@ Status DurableRepository::Recover() {
         if (!owned.ok()) return owned.status();
         flat = std::move(owned).value();
       }
-      // One fused walk fills the index and miner feeds.
-      LocalDocumentPaths local;
-      DocumentPaths mined;
-      CollectRestorePaths(*flat, local, mined);
-      return repo_->RestoreDocumentAt(id, std::move(flat), std::move(local),
-                                      mined);
+      // The summary arrives wholesale below, so the document itself is
+      // stored without a walk.
+      return repo_->RestoreDocumentAt(id, std::move(flat));
     };
     auto restore_shard = [&](size_t s) -> Status {
       for (size_t id = s; id < doc_total; id += restore_shards) {
@@ -261,8 +257,7 @@ Status DurableRepository::Recover() {
       rewrite = true;
       break;
     }
-    const DocumentPaths mined = ExtractPaths(**flat);
-    auto id = repo_->AddFrozen(std::move(*flat), mined);
+    auto id = repo_->AddFrozen(std::move(flat).value());
     if (!id.ok()) return id.status();
     admitted.push_back(&record);
     ++next_id;
@@ -302,12 +297,12 @@ Status DurableRepository::Recover() {
 StatusOr<DocId> DurableRepository::Add(std::unique_ptr<Node> document) {
   // Validation happens in Prepare — AddFrozen deliberately skips the
   // DTD check, so the durable path gates admission with Add's prelude.
-  StatusOr<XmlRepository::Prepared> prepared =
+  StatusOr<std::unique_ptr<FlatDoc>> flat =
       repo_->Prepare(std::move(document));
-  if (!prepared.ok()) return prepared.status();
+  if (!flat.ok()) return flat.status();
 
   std::shared_lock<std::shared_mutex> checkpoint_lock(checkpoint_mutex_);
-  auto id_or = repo_->AddFrozen(std::move(prepared->flat), prepared->mined);
+  auto id_or = repo_->AddFrozen(std::move(flat).value());
   if (!id_or.ok()) return id_or.status();
   const DocId id = *id_or;
 

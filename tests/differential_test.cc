@@ -16,6 +16,7 @@
 #include "repository/repository.h"
 #include "restructure/converter.h"
 #include "restructure/recognizer.h"
+#include "schema/dtd_builder.h"
 #include "schema/frequent_paths.h"
 #include "schema/path_extractor.h"
 #include "util/rng.h"
@@ -356,34 +357,49 @@ TEST(RepositoryDifferential, SimdLevelInvariantResultsAndCounters) {
 }
 
 TEST(RepositoryDifferential, ShardedDiscoverMatchesFreshMiner) {
-  // DiscoverSchema merges the per-shard tries fed at Add time; the
-  // result must equal a fresh miner walking the same documents, for
-  // every shard count, with and without constraints.
+  // DiscoverSchema mines the stored documents with the caller's
+  // options; the schema and its DTD must equal a fresh miner's over the
+  // same documents, for every shard count, with and without
+  // constraints, and at every rep_threshold (which acts at insertion, so
+  // a miner fed before the threshold is known counts at the wrong one).
   Fixture& f = Shared();
   std::vector<std::string> pages;
   for (size_t i = 0; i < 20; ++i) pages.push_back(GenerateResume(i).html);
 
-  for (const bool constrained : {false, true}) {
-    MiningOptions mining;
-    mining.sup_threshold = 0.3;
-    if (constrained) mining.constraints = &f.constraints;
-
-    FrequentPathMiner fresh(mining);
+  std::vector<std::unique_ptr<XmlRepository>> repos;
+  for (size_t shards : {1u, 3u, 8u}) {
+    RepositoryOptions options;
+    options.num_shards = shards;
+    repos.push_back(std::make_unique<XmlRepository>(options));
     for (const std::string& page : pages) {
-      auto doc = f.converter.Convert(page);
-      fresh.AddDocument(*doc);
+      ASSERT_TRUE(repos.back()->Add(f.converter.Convert(page)).ok());
     }
-    const std::string expected = fresh.Discover().ToString();
+  }
 
-    for (size_t shards : {1u, 3u, 8u}) {
-      RepositoryOptions options;
-      options.num_shards = shards;
-      XmlRepository repo(options);
+  for (const size_t rep_threshold : {1u, 2u, 3u, 4u, 5u}) {
+    for (const bool constrained : {false, true}) {
+      MiningOptions mining;
+      mining.sup_threshold = 0.3;
+      mining.rep_threshold = rep_threshold;
+      if (constrained) mining.constraints = &f.constraints;
+
+      FrequentPathMiner fresh(mining);
       for (const std::string& page : pages) {
-        ASSERT_TRUE(repo.Add(f.converter.Convert(page)).ok());
+        auto doc = f.converter.Convert(page);
+        fresh.AddDocument(*doc);
       }
-      EXPECT_EQ(repo.DiscoverSchema(mining).ToString(), expected)
-          << shards << " shards, constrained=" << constrained;
+      const MajoritySchema expected = fresh.Discover();
+      const std::string expected_dtd = BuildDtd(expected).ToString();
+
+      for (const std::unique_ptr<XmlRepository>& repo : repos) {
+        const MajoritySchema schema = repo->DiscoverSchema(mining);
+        EXPECT_EQ(schema.ToString(), expected.ToString())
+            << repo->num_shards() << " shards, constrained=" << constrained
+            << ", rep_threshold=" << rep_threshold;
+        EXPECT_EQ(BuildDtd(schema).ToString(), expected_dtd)
+            << repo->num_shards() << " shards, constrained=" << constrained
+            << ", rep_threshold=" << rep_threshold;
+      }
     }
   }
 }

@@ -152,9 +152,10 @@ TEST(RepositoryConcurrencyTest, ParallelQueriesDuringConcurrentAdds) {
             serial.query_stats().predicate_bytes_scanned);
 }
 
-// DiscoverSchema and Stats may race with Add: both take the same shard
-// locks, so they must always see a prefix-consistent corpus and never
-// tear a trie mid-merge.
+// DiscoverSchema and Stats may race with Add: both read each shard
+// under its shared lock (DiscoverSchema copies the FlatDoc pointers and
+// mines them outside it), so they must always see a prefix-consistent
+// corpus and never a half-published document.
 TEST(RepositoryConcurrencyTest, DiscoverAndStatsDuringConcurrentAdds) {
   RepositoryOptions options;
   options.num_shards = 3;

@@ -2,14 +2,21 @@
 // reload must be observationally identical to a fresh in-memory build
 // over the same documents — query results (and the deterministic
 // query.* counters) byte-for-byte, across shard counts and re-sharded
-// reopens (DESIGN.md §14).
+// reopens (DESIGN.md §14) — and the discovered schema and DTD equal to
+// a fresh miner's over the same documents.
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "concepts/resume_domain.h"
+#include "corpus/resume_generator.h"
 #include "gtest/gtest.h"
 #include "repository/repository.h"
+#include "restructure/converter.h"
+#include "restructure/recognizer.h"
+#include "schema/dtd_builder.h"
+#include "schema/frequent_paths.h"
 #include "storage/durable_repository.h"
 #include "util/rng.h"
 #include "xml/node.h"
@@ -222,6 +229,76 @@ TEST(SnapshotReload, CheckpointThenMoreAddsThenReload) {
   EXPECT_EQ((*durable)->stats().mmap_hits, kDocs / 2);
   EXPECT_EQ((*durable)->stats().wal_replayed, kDocs - kDocs / 2);
   ExpectEquivalent(*FreshBuild(2), (*durable)->repo());
+}
+
+TEST(SnapshotReload, SchemaSurvivesRecovery) {
+  const ConceptSet concepts = ResumeConcepts();
+  const ConstraintSet constraints = ResumeConstraints();
+  const SynonymRecognizer recognizer(&concepts);
+  const DocumentConverter converter(&concepts, &recognizer, &constraints);
+  std::vector<std::unique_ptr<Node>> docs;
+  for (size_t i = 0; i < 60; ++i) {
+    docs.push_back(converter.Convert(GenerateResume(i).html));
+  }
+
+  // Every mining configuration with the schema and DTD a fresh miner
+  // derives from the documents: the ground truth for every state.
+  struct Expected {
+    MiningOptions mining;
+    std::string schema;
+    std::string dtd;
+  };
+  std::vector<Expected> expected;
+  for (const size_t rep_threshold : {size_t{1}, size_t{3}, size_t{4}}) {
+    for (const bool constrained : {false, true}) {
+      Expected e;
+      e.mining.rep_threshold = rep_threshold;
+      if (constrained) e.mining.constraints = &constraints;
+      FrequentPathMiner fresh(e.mining);
+      for (const std::unique_ptr<Node>& doc : docs) fresh.AddDocument(*doc);
+      const MajoritySchema schema = fresh.Discover();
+      e.schema = schema.ToString();
+      e.dtd = BuildDtd(schema).ToString();
+      expected.push_back(std::move(e));
+    }
+  }
+  auto expect_fresh = [&](const XmlRepository& repo, const char* state) {
+    for (const Expected& e : expected) {
+      const MajoritySchema schema = repo.DiscoverSchema(e.mining);
+      const std::string where =
+          std::string(state) + ", " + std::to_string(repo.num_shards()) +
+          " shards, rep_threshold=" + std::to_string(e.mining.rep_threshold) +
+          (e.mining.constraints != nullptr ? ", constrained" : "");
+      EXPECT_EQ(schema.ToString(), e.schema) << where;
+      EXPECT_EQ(BuildDtd(schema).ToString(), e.dtd) << where;
+    }
+  };
+
+  for (const size_t shards : {size_t{1}, size_t{3}}) {
+    const std::string dir =
+        FreshDir("reload_schema_" + std::to_string(shards));
+    {
+      auto durable = DurableRepository::Open(dir, Opts(shards));
+      ASSERT_TRUE(durable.ok()) << durable.status();
+      for (const std::unique_ptr<Node>& doc : docs) {
+        ASSERT_TRUE((*durable)->Add(doc->Clone()).ok());
+      }
+      expect_fresh((*durable)->repo(), "live");
+    }
+    {
+      // No checkpoint yet: every document comes back by WAL replay.
+      auto durable = DurableRepository::Open(dir, Opts(shards));
+      ASSERT_TRUE(durable.ok()) << durable.status();
+      EXPECT_EQ((*durable)->stats().wal_replayed, docs.size());
+      expect_fresh((*durable)->repo(), "WAL replay");
+      ASSERT_TRUE((*durable)->Checkpoint().ok());
+    }
+    auto durable = DurableRepository::Open(dir, Opts(shards));
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    EXPECT_EQ((*durable)->stats().mmap_hits, docs.size());
+    EXPECT_EQ((*durable)->stats().wal_replayed, 0u);
+    expect_fresh((*durable)->repo(), "snapshot reopen");
+  }
 }
 
 }  // namespace
