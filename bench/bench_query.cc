@@ -28,6 +28,11 @@
 // date/build/method keys. ci/bench_smoke.sh runs a tiny corpus through
 // this binary and validates both the live output and the artifact.
 //
+// Every workload runs at least --reps timed passes and keeps repeating
+// until it has run for kMinWorkloadSeconds, so the fast after-arm
+// workloads (a few ms per pass) are timed over a window long enough to
+// read steadily on a shared host; `matches` counts one pass.
+//
 // Usage: bench_query [--docs=N] [--shards=N] [--reps=N]
 
 #include <algorithm>
@@ -275,9 +280,14 @@ double Now() {
       .count();
 }
 
+/// Shortest timed window per workload and arm.
+constexpr double kMinWorkloadSeconds = 0.2;
+
 struct WorkloadResult {
   double seconds = 0;
+  size_t passes = 0;
   size_t queries = 0;
+  /// Matches of one pass over the workload.
   size_t matches = 0;
 
   double qps() const { return seconds > 0 ? queries / seconds : 0; }
@@ -287,15 +297,18 @@ template <typename Repo>
 WorkloadResult RunWorkload(const Repo& repo,
                            const std::vector<webre::PathQuery>& queries,
                            size_t reps) {
-  // One untimed pass warms caches.
-  for (const webre::PathQuery& query : queries) (void)repo.Query(query);
+  // One untimed pass warms caches and counts the matches.
   WorkloadResult result;
+  for (const webre::PathQuery& query : queries) {
+    result.matches += repo.Query(query).size();
+  }
   const double begin = Now();
-  for (size_t rep = 0; rep < reps; ++rep) {
+  while (result.passes < reps || Now() - begin < kMinWorkloadSeconds) {
     for (const webre::PathQuery& query : queries) {
-      result.matches += repo.Query(query).size();
+      (void)repo.Query(query);
       ++result.queries;
     }
+    ++result.passes;
   }
   result.seconds = Now() - begin;
   return result;
@@ -319,15 +332,19 @@ void PrintArm(const char* name, size_t docs, size_t shards,
       "      \"documents\": %zu,\n"
       "      \"shards\": %zu,\n"
       "      \"simple_seconds\": %.4f,\n"
+      "      \"simple_passes\": %zu,\n"
       "      \"simple_qps\": %.1f,\n"
       "      \"mixed_seconds\": %.4f,\n"
+      "      \"mixed_passes\": %zu,\n"
       "      \"mixed_qps\": %.1f,\n"
       "      \"predicate_seconds\": %.4f,\n"
+      "      \"predicate_passes\": %zu,\n"
       "      \"predicate_qps\": %.1f,\n"
       "      \"matches\": %zu\n"
       "    }%s\n",
-      name, name, docs, shards, simple.seconds, simple.qps(), mixed.seconds,
-      mixed.qps(), predicate.seconds, predicate.qps(),
+      name, name, docs, shards, simple.seconds, simple.passes, simple.qps(),
+      mixed.seconds, mixed.passes, mixed.qps(), predicate.seconds,
+      predicate.passes, predicate.qps(),
       simple.matches + mixed.matches + predicate.matches,
       trailing_comma ? "," : "");
 }
@@ -443,10 +460,12 @@ int main(int argc, char** argv) {
       "    \"documents\": %zu,\n"
       "    \"elements\": %zu,\n"
       "    \"distinct_paths\": %zu,\n"
-      "    \"reps\": %zu\n"
+      "    \"reps\": %zu,\n"
+      "    \"min_workload_seconds\": %.1f\n"
       "  },\n"
       "  \"arms\": {\n",
-      flags.docs, stats.elements, stats.distinct_paths, flags.reps);
+      flags.docs, stats.elements, stats.distinct_paths, flags.reps,
+      kMinWorkloadSeconds);
   PrintArm("before", flags.docs, 1, before_simple, before_mixed,
            before_predicate, true);
   PrintArm("after", flags.docs, after.num_shards(), after_simple,

@@ -6,18 +6,18 @@
 // load does accept must then survive full FlatDoc structural
 // validation: corrupt bytes may be rejected, but never half-accepted.
 //
-// The seed corpus (corpus/snapshot) holds a real checkpoint's
-// snapshot.webre and WAL files, so mutations explore the format's
-// interior, not just its magic check.
+// The seed corpus (corpus/snapshot) holds real checkpoints' snapshot
+// and WAL files in the current format and in format v1, so mutations
+// explore the format's interior — the v1 upgrade included — not just
+// its magic check.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string_view>
 #include <vector>
 
+#include "storage/format.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/status.h"
@@ -33,14 +33,14 @@ bool AcceptableStatus(const webre::Status& status) {
          status.code() == webre::StatusCode::kResourceExhausted;
 }
 
-// Re-validates an accepted document block through FlatDoc — a loader
+// Loads an accepted document block through the storage layer's copying
+// loader (the v1 upgrade and FlatDoc validation included) — a loader
 // that admits a block the validator rejects (or vice versa crashes on)
 // is a bug either way.
-void ExerciseBlock(std::string_view block, uint32_t element_count) {
-  auto copy = std::make_unique<char[]>(block.size());
-  std::memcpy(copy.get(), block.data(), block.size());
-  auto doc = webre::FlatDoc::FromOwnedBlock(
-      std::move(copy), block.size(), element_count,
+void ExerciseBlock(std::string_view block, uint32_t element_count,
+                   uint32_t version) {
+  auto doc = webre::storage::LoadBlockCopy(
+      block, element_count, version, nullptr,
       static_cast<webre::NameId>(webre::NameTable::Global().size()));
   if (doc.ok()) {
     // Touch every element: any accepted block must be fully readable.
@@ -67,19 +67,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (!AcceptableStatus(snap)) abort();
   if (snap.ok()) {
     for (const webre::storage::LoadedDocument& doc : loaded.documents) {
-      ExerciseBlock(doc.block, doc.element_count);
+      ExerciseBlock(doc.block, doc.element_count, loaded.version);
     }
   }
 
   // 2. The input as a WAL file: header check, then the valid-prefix
   // scan and per-record document decode.
+  uint32_t version = 0;
   const webre::Status header = webre::storage::CheckWalHeader(
-      bytes, webre::storage::SeedVocabularyHash());
+      bytes, webre::storage::SeedVocabularyHash(), &version);
   if (!AcceptableStatus(header)) abort();
   if (header.ok()) {
     std::vector<webre::storage::WalRecord> records;
     const size_t prefix = webre::storage::ParseWalPayload(
-        bytes.substr(webre::storage::kWalHeaderSize), records);
+        bytes.substr(webre::storage::kWalHeaderSize), records, version);
     if (prefix > size - webre::storage::kWalHeaderSize) abort();
     for (const webre::storage::WalRecord& record : records) {
       auto doc = webre::storage::DecodeWalDocument(record);

@@ -152,7 +152,7 @@ void PathIndex::AddDocument(const LocalDocumentPaths& local, DocId doc,
     for (size_t k = 0; k < n; ++k) {
       const uint32_t pos = path.occurrences[k];
       entry.occurrences[offset + k] = PathOccurrence{doc, pos, &flat};
-      values.append(flat.val_lowered(pos));
+      values.append(flat.val(pos));
       entry.column_off[offset + 1 + k] = start + values.size();
     }
     entry.column.insert(start, values);
@@ -210,7 +210,7 @@ Status PathIndex::LoadEntry(uint32_t parent, NameId name,
   entry.column.reserve(bytes);
   entry.column_off.reserve(entry.occurrences.size() + 1);
   for (const PathOccurrence& occ : entry.occurrences) {
-    entry.column.append(occ.flat->val_lowered(occ.pos));
+    entry.column.append(occ.flat->val(occ.pos));
     entry.column_off.push_back(entry.column.size());
   }
   return Status::Ok();

@@ -79,10 +79,10 @@ class PathIndex {
     std::vector<DocId> docs;
     /// Every element realizing this path, ordered by (doc, pos).
     std::vector<PathOccurrence> occurrences;
-    /// The path's value column: the ASCII-lowered `val`s of
-    /// `occurrences`, concatenated in occurrence order. Derived data —
-    /// rebuilt from the documents at AddDocument/LoadEntry, never
-    /// persisted.
+    /// The path's value column: the raw `val`s of `occurrences`,
+    /// concatenated in occurrence order (predicates scan it with the
+    /// case-folding FindLowered). Derived data — rebuilt from the
+    /// documents at AddDocument/LoadEntry, never persisted.
     std::string column;
     /// occurrences.size() + 1 offsets into `column`: occurrence i's
     /// value is [column_off[i], column_off[i + 1]). 64-bit, so no
@@ -101,7 +101,7 @@ class PathIndex {
   /// spliced in at its id (a plain append when ids arrive in order).
   /// A document must be added at most once. `flat`, the frozen
   /// document `local` describes, is stamped onto every occurrence and
-  /// supplies the pre-lowered values.
+  /// supplies the values.
   void AddDocument(const LocalDocumentPaths& local, DocId doc,
                    const FlatDoc& flat);
 

@@ -24,7 +24,7 @@ const uint64_t* SweepValBitset(const FlatDoc& doc, std::string_view lowered,
   const size_t words = size_t{count} / 64 + 1;
   uint64_t* bits = static_cast<uint64_t*>(
       scratch.arena.Allocate(words * sizeof(uint64_t), alignof(uint64_t)));
-  const std::string_view pool = doc.lowered_pool();
+  const std::string_view pool = doc.text_pool();
   scratch.bytes_scanned += pool.size();
   ++scratch.sweeps;
   if (lowered.empty()) {

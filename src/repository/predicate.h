@@ -44,12 +44,13 @@ struct PredicateScratch {
 bool ShouldSweepPool(size_t candidate_count, size_t candidate_bytes,
                      size_t pool_bytes);
 
-/// One dense SIMD pass over `doc`'s pre-lowered text pool: returns an
-/// element bitset (allocated from scratch.arena — valid until the next
+/// One dense SIMD pass over `doc`'s raw text pool: returns an element
+/// bitset (allocated from scratch.arena — valid until the next
 /// SweepValBitset on the same scratch) with bit e set iff element e's
-/// val contains `lowered` (already ASCII-lowercase; empty matches every
-/// element). Equivalent to ValContainsLowered(e, lowered) for every e,
-/// but the scanner crosses slice boundaries in one run instead of
+/// val contains `lowered` case-insensitively (`lowered` is already
+/// ASCII-lowercase; empty matches every element). Equivalent to
+/// FindLowered(doc.val(e), lowered) != npos for every e, but the
+/// scanner crosses slice boundaries in one run instead of
 /// restarting per element; hits that straddle two adjacent slices are
 /// detected via the offset array and rejected. Charges the pool size to
 /// scratch.bytes_scanned and bumps scratch.sweeps.

@@ -86,8 +86,7 @@ bool PathQuery::IsSimplePath() const {
 size_t PathQuery::SimplePrefixLength() const {
   size_t k = 0;
   for (const QueryStep& step : steps_) {
-    if (step.descendant || step.wildcard || step.name == "*" ||
-        !step.val_contains.empty()) {
+    if (step.descendant || step.wildcard || !step.val_contains.empty()) {
       break;
     }
     ++k;
@@ -104,57 +103,18 @@ std::vector<std::string> PathQuery::AsLabelPath() const {
 
 namespace {
 
-// Per-call resolved form of one step for flat evaluation: name test as
-// a single NameId compare, predicate needle pre-lowered. `impossible`
-// marks a hand-assembled step whose name was never interned — no stored
-// element can match it.
-struct FlatStepTest {
-  bool wildcard = false;
-  bool impossible = false;
-  NameId name = kInvalidNameId;
-  std::string owned;          // backing for `lowered` when re-lowered here
-  std::string_view lowered;   // empty = no predicate
-};
-
-FlatStepTest ResolveFlatStep(const QueryStep& step) {
-  FlatStepTest test;
-  if (step.wildcard || step.name == "*") {
-    test.wildcard = true;
-  } else if (step.name_id != kInvalidNameId) {
-    test.name = step.name_id;
-  } else {
-    test.name = NameTable::Global().Find(step.name);
-    if (test.name == kInvalidNameId) test.impossible = true;
-  }
-  if (!step.val_contains.empty()) {
-    if (step.val_lower.size() == step.val_contains.size()) {
-      test.lowered = step.val_lower;
-    } else {
-      // `lowered` is re-pointed at `owned` only once the test has
-      // reached its final resting place (moving a small string would
-      // otherwise dangle the view).
-      test.owned = AsciiLower(step.val_contains);
-    }
-  }
-  return test;
-}
-
-// Name half of one step's test; the predicate half runs in batch over
-// the step's survivors (apply_predicate in EvaluateFrom below).
-inline bool FlatNameMatches(const FlatStepTest& test, const FlatDoc& doc,
+// Name half of one step's test: Parse has already resolved the name to
+// an interned id (or marked the step a wildcard). The predicate half
+// runs in batch over the step's survivors (apply_predicate in
+// EvaluateFrom below) with the needle Parse pre-lowered.
+inline bool FlatNameMatches(const QueryStep& step, const FlatDoc& doc,
                             uint32_t i) {
-  if (test.impossible) return false;
-  return test.wildcard || doc.name(i) == test.name;
+  return step.wildcard || doc.name(i) == step.name_id;
 }
 
 }  // namespace
 
 struct FlatEvalScratch::Impl {
-  /// Step tests resolved once per query and reused for every document
-  /// evaluated with this scratch (`resolved_for` keys the cache; the
-  /// query outlives the scratch at every call site).
-  const PathQuery* resolved_for = nullptr;
-  std::vector<FlatStepTest> tests;
   /// The per-step successor frontier, swapped with the live frontier so
   /// both buffers' capacities survive across steps and documents.
   std::vector<uint32_t> next;
@@ -200,29 +160,19 @@ std::vector<uint32_t> PathQuery::EvaluateFrom(
   // end). The result is deduplicated in document order (ascending
   // indices).
   FlatEvalScratch::Impl& state = *scratch.impl_;
-  std::vector<FlatStepTest>& tests = state.tests;
-  if (state.resolved_for != this) {
-    tests.clear();
-    for (const QueryStep& step : steps_) {
-      tests.push_back(ResolveFlatStep(step));
-      FlatStepTest& placed = tests.back();
-      if (!placed.owned.empty()) placed.lowered = placed.owned;
-    }
-    state.resolved_for = this;
-  }
-
   const uint32_t* off = doc.text_offsets();
-  const std::string_view pool = doc.lowered_pool();
+  const std::string_view pool = doc.text_pool();
   // In-place batch predicate filter over one step's name survivors.
   // Per-document cost decision: slices at least needle-sized are the
   // candidates (shorter ones cannot match and are rejected by length
   // alone); when they cover enough of the pool, one SIMD sweep of the
   // whole pool replaces every per-slice scan and the survivors reduce
   // to bitset lookups.
-  auto apply_predicate = [&](const FlatStepTest& test,
+  auto apply_predicate = [&](const QueryStep& step,
                              std::vector<uint32_t>& v) {
-    if (test.lowered.empty() || v.empty()) return;
-    const size_t m = test.lowered.size();
+    const std::string_view lowered = step.val_lower;
+    if (lowered.empty() || v.empty()) return;
+    const size_t m = lowered.size();
     size_t cand_count = 0;
     size_t cand_bytes = 0;
     for (uint32_t e : v) {
@@ -234,8 +184,7 @@ std::vector<uint32_t> PathQuery::EvaluateFrom(
     }
     size_t kept = 0;
     if (ShouldSweepPool(cand_count, cand_bytes, pool.size())) {
-      const uint64_t* bits =
-          SweepValBitset(doc, test.lowered, state.predicate);
+      const uint64_t* bits = SweepValBitset(doc, lowered, state.predicate);
       for (uint32_t e : v) {
         if (BitsetTest(bits, e)) v[kept++] = e;
       }
@@ -245,7 +194,7 @@ std::vector<uint32_t> PathQuery::EvaluateFrom(
         const size_t len = off[e + 1] - off[e];
         if (len < m) continue;
         if (FindLowered(std::string_view(pool.data() + off[e], len),
-                        test.lowered) != std::string_view::npos) {
+                        lowered) != std::string_view::npos) {
           v[kept++] = e;
         }
       }
@@ -268,13 +217,13 @@ std::vector<uint32_t> PathQuery::EvaluateFrom(
         // `//x` from a root examines the root and its whole subtree —
         // one contiguous range.
         for (uint32_t i = root; i < doc.subtree_end(root); ++i) {
-          if (FlatNameMatches(tests[0], doc, i)) next.push_back(i);
+          if (FlatNameMatches(first, doc, i)) next.push_back(i);
         }
-      } else if (FlatNameMatches(tests[0], doc, root)) {
+      } else if (FlatNameMatches(first, doc, root)) {
         next.push_back(root);
       }
     }
-    apply_predicate(tests[0], next);
+    apply_predicate(first, next);
     std::swap(frontier, next);
     if (first.descendant) nested_possible = true;
     first_step = 1;
@@ -282,21 +231,20 @@ std::vector<uint32_t> PathQuery::EvaluateFrom(
 
   for (size_t s = first_step; s < steps_.size(); ++s) {
     const QueryStep& step = steps_[s];
-    const FlatStepTest& test = tests[s];
     next.clear();
     for (uint32_t e : frontier) {
       const uint32_t end = doc.subtree_end(e);
       if (step.descendant) {
         for (uint32_t i = e + 1; i < end; ++i) {
-          if (FlatNameMatches(test, doc, i)) next.push_back(i);
+          if (FlatNameMatches(step, doc, i)) next.push_back(i);
         }
       } else {
         for (uint32_t c = e + 1; c < end; c = doc.subtree_end(c)) {
-          if (FlatNameMatches(test, doc, c)) next.push_back(c);
+          if (FlatNameMatches(step, doc, c)) next.push_back(c);
         }
       }
     }
-    apply_predicate(test, next);
+    apply_predicate(step, next);
     if (step.descendant) {
       if (nested_possible && next.size() > 1) {
         std::sort(next.begin(), next.end());

@@ -24,16 +24,13 @@ struct QueryStep {
   /// Optional predicate: keep only elements whose `val` contains this
   /// substring (case-insensitive). Written `[val~"text"]`. Empty = none.
   std::string val_contains;
-  /// ASCII-lowered copy of `val_contains`, filled by Parse so the
-  /// per-node check never re-lowers the needle. Hand-assembled steps
-  /// may leave it empty; matching then falls back to the slow path.
+  /// ASCII-lowered copy of `val_contains`, filled by Parse so no
+  /// evaluation re-lowers the needle.
   std::string val_lower;
-  /// Interned id of `name`, filled by Parse so matching is an integer
-  /// compare. kInvalidNameId (the default) means "not interned":
-  /// hand-assembled steps fall back to comparing the string.
+  /// Interned id of `name`, filled by Parse (for every name but "*") so
+  /// matching is an integer compare.
   NameId name_id = kInvalidNameId;
-  /// True when `name` is "*". Cached by Parse; hand-assembled steps
-  /// are still recognized through the string.
+  /// True when `name` is "*", set by Parse.
   bool wildcard = false;
 };
 

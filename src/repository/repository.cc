@@ -10,7 +10,6 @@
 
 #include "schema/path_extractor.h"
 #include "util/simd_scan.h"
-#include "util/strings.h"
 #include "util/thread_pool.h"
 #include "xml/dtd_validator.h"
 
@@ -34,26 +33,11 @@ QueryMatch MatchFromOccurrence(const PathOccurrence& occ) {
   return QueryMatch{occ.doc, occ.pos, occ.flat};
 }
 
-/// One query step's name test, resolved to a NameId. `impossible` marks
-/// a named step whose name no stored document has ever interned — the
-/// step (and so the whole query) cannot match anything.
-struct StepTest {
-  bool wildcard = false;
-  NameId name = kInvalidNameId;
-  bool impossible = false;
-};
-
-StepTest ResolveStep(const QueryStep& step) {
-  StepTest test;
-  if (step.wildcard || step.name == "*") {
-    test.wildcard = true;
-    return test;
-  }
-  test.name = step.name_id != kInvalidNameId
-                  ? step.name_id
-                  : NameTable::Global().Find(step.name);
-  test.impossible = test.name == kInvalidNameId;
-  return test;
+/// One query step's name test against a summary trie node: Parse has
+/// already resolved the name to an interned id or marked the step a
+/// wildcard.
+bool StepMatches(const QueryStep& step, const PathIndex& index, uint32_t id) {
+  return step.wildcard || index.entry(id).name == step.name_id;
 }
 
 /// Pattern-matches the structural part of steps [0, step_count) of
@@ -72,35 +56,26 @@ std::vector<uint32_t> MatchSummaryPaths(const PathIndex& index,
   std::vector<uint32_t> cur;
   {
     // Step 0 starts at the virtual parent of the document roots.
-    const StepTest test = ResolveStep(steps[0]);
-    if (test.impossible) return {};
     if (steps[0].descendant) {
       for (uint32_t id = 0; id < n; ++id) {
-        if (test.wildcard || index.entry(id).name == test.name) {
-          cur.push_back(id);
-        }
+        if (StepMatches(steps[0], index, id)) cur.push_back(id);
       }
     } else {
       for (uint32_t id : index.roots()) {
-        if (test.wildcard || index.entry(id).name == test.name) {
-          cur.push_back(id);
-        }
+        if (StepMatches(steps[0], index, id)) cur.push_back(id);
       }
     }
   }
 
   for (size_t s = 1; s < step_count && !cur.empty(); ++s) {
-    const StepTest test = ResolveStep(steps[s]);
-    if (test.impossible) return {};
+    const QueryStep& step = steps[s];
     std::vector<uint32_t> next;
-    if (!steps[s].descendant) {
+    if (!step.descendant) {
       // Every trie node has one parent, so children of distinct nodes
       // are disjoint — no dedup needed.
       for (uint32_t id : cur) {
         for (uint32_t child : index.entry(id).children) {
-          if (test.wildcard || index.entry(child).name == test.name) {
-            next.push_back(child);
-          }
+          if (StepMatches(step, index, child)) next.push_back(child);
         }
       }
     } else {
@@ -118,9 +93,7 @@ std::vector<uint32_t> MatchSummaryPaths(const PathIndex& index,
       while (!stack.empty()) {
         const uint32_t id = stack.back();
         stack.pop_back();
-        if (test.wildcard || index.entry(id).name == test.name) {
-          next.push_back(id);
-        }
+        if (StepMatches(step, index, id)) next.push_back(id);
         for (uint32_t child : index.entry(id).children) {
           if (!visited[child]) {
             visited[child] = 1;
@@ -472,11 +445,7 @@ std::vector<QueryMatch> XmlRepository::QuerySummaryRuns(
 
 std::vector<QueryMatch> XmlRepository::SeedFromColumns(const PathQuery& query,
                                                        size_t k) const {
-  const QueryStep& step = query.steps()[k];
-  // Parse pre-lowers the needle; hand-assembled steps pay it here.
-  const std::string lowered = step.val_lower.size() == step.val_contains.size()
-                                  ? step.val_lower
-                                  : AsciiLower(step.val_contains);
+  const std::string_view lowered = query.steps()[k].val_lower;
   const size_t m = lowered.size();
 
   // Everything here runs under the summary lock without touching any
@@ -539,16 +508,17 @@ std::vector<QueryMatch> XmlRepository::EvaluateSuffix(
     while (j < seeds.size() && seeds[j].doc == doc) ++j;
     ++docs;
     // Two-tier lookahead: FlatDoc structs ~8 seeds out, the next
-    // document's arrays now — the array addresses live in the struct,
-    // and per-document work is shorter than a DRAM round trip.
+    // document's arrays now (names, subtree_end, text_off, text) — the
+    // array addresses live in the struct, and per-document work is
+    // shorter than a DRAM round trip.
     if (i + 8 < seeds.size()) __builtin_prefetch(seeds[i + 8].flat);
     if (j < seeds.size()) {
       const FlatDoc* ahead = seeds[j].flat;
       __builtin_prefetch(ahead->block_data());
       __builtin_prefetch(ahead->block_data() +
-                         size_t{3} * 4 * ahead->element_count());
+                         size_t{2} * 4 * ahead->element_count());
       __builtin_prefetch(ahead->text_offsets());
-      __builtin_prefetch(ahead->lowered_pool().data());
+      __builtin_prefetch(ahead->text_pool().data());
     }
     const FlatDoc* flat = seeds[i].flat;
     frontier.clear();

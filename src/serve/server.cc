@@ -34,6 +34,10 @@ constexpr uint64_t kWakeId = ~uint64_t{0};
 /// already amortizes the syscall across a full drain's responses).
 constexpr int kMaxIov = 64;
 
+/// Input a closing connection discards before it is closed outright
+/// (see Connection::closing).
+constexpr size_t kMaxDiscardBytes = size_t{16} << 20;
+
 Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
 }
@@ -80,8 +84,15 @@ struct Server::Connection {
   size_t out_head = 0;
   size_t out_bytes = 0;
   bool want_write = false;
-  /// Close once the output buffer drains (set after a kBadFrame error).
+  /// Set after a kBadFrame error: input is discarded from then on, and
+  /// once the answer is flushed the write side is shut down
+  /// (`write_shut`). The connection closes when the peer does, or after
+  /// kMaxDiscardBytes of discarded input — so a client still sending
+  /// the rejected frame reads the answer and then EOF, not a reset that
+  /// closing with its bytes unread would send.
   bool closing = false;
+  bool write_shut = false;
+  size_t discarded = 0;
   /// Already on the loop's dirty list this round.
   bool dirty = false;
   TokenBucket bucket;
@@ -342,6 +353,11 @@ bool Server::ReadReady(Loop& loop, Connection& conn) {
       if (errno == EINTR) continue;
       return false;
     }
+    if (conn.closing) {
+      conn.discarded += static_cast<size_t>(n);
+      if (conn.discarded > kMaxDiscardBytes) return false;
+      continue;
+    }
     std::string_view bytes(buffer, static_cast<size_t>(n));
     if (!conn.mode_known) {
       conn.mode_known = true;
@@ -399,12 +415,21 @@ bool Server::ReadReady(Loop& loop, Connection& conn) {
       if (conn.closing) break;
     }
   }
-  return !(conn.closing && conn.out_bytes == 0);
+  ShutdownWhenFlushed(conn);
+  return true;
 }
 
 bool Server::WriteReady(Loop& loop, Connection& conn) {
   if (!FlushOutput(loop, conn)) return false;
-  return !(conn.closing && conn.out_bytes == 0);
+  ShutdownWhenFlushed(conn);
+  return true;
+}
+
+void Server::ShutdownWhenFlushed(Connection& conn) {
+  if (conn.closing && conn.out_bytes == 0 && !conn.write_shut) {
+    ::shutdown(conn.fd, SHUT_WR);
+    conn.write_shut = true;
+  }
 }
 
 void Server::HandleRequest(Loop& loop, Connection& conn, Request request) {
@@ -492,19 +517,21 @@ void Server::PostEvent(Loop& loop, LoopEvent event) {
   // `pending` goes up BEFORE the push so the consumer, which subtracts
   // only what it actually popped, can never read 0 while an entry is
   // published-but-unseen. Ringing only on 0 -> 1 is what makes the
-  // eventfd write per-batch instead of per-completion.
+  // eventfd write per-batch instead of per-completion. The wakeup
+  // counters move before the push too: once the loop can pop the event
+  // (and answer the request) the event is already counted, so a client
+  // that has every response sees counters that add up.
   const size_t prev = loop.pending.fetch_add(1, std::memory_order_acq_rel);
+  (prev == 0 ? loop.wakeups : loop.wakeups_coalesced)
+      .fetch_add(1, std::memory_order_relaxed);
   while (!loop.ring.TryPush(event)) {
     // The ring is sized for the in-flight gate + handoff worst case, so
     // this is defensive only (the consumer is draining concurrently).
     std::this_thread::yield();
   }
   if (prev == 0) {
-    loop.wakeups.fetch_add(1, std::memory_order_relaxed);
     const uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(loop.wake_fd, &one, sizeof(one));
-  } else {
-    loop.wakeups_coalesced.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -556,7 +583,7 @@ void Server::FlushDirty(Loop& loop) {
       CloseConnection(loop, id);
       continue;
     }
-    if (conn.closing && conn.out_bytes == 0) CloseConnection(loop, id);
+    ShutdownWhenFlushed(conn);
   }
   loop.dirty.clear();
 }

@@ -230,11 +230,14 @@ class Server {
   void DrainEvents(Loop& loop);
   /// Queues `bytes` on `conn` and marks it dirty for the round's flush.
   void QueueOutput(Loop& loop, Connection& conn, std::string bytes);
-  /// One writev per dirty connection; closes drained closing ones.
+  /// One writev per dirty connection; half-closes drained closing ones.
   void FlushDirty(Loop& loop);
   /// Writes as far as the socket allows (single writev per call while
   /// the socket keeps accepting). Returns false on hard error.
   bool FlushOutput(Loop& loop, Connection& conn);
+  /// Shuts down a closing connection's write side once its answer is
+  /// flushed (Connection::closing).
+  void ShutdownWhenFlushed(Connection& conn);
   void CloseConnection(Loop& loop, uint64_t conn_id);
   void UpdateEpoll(Loop& loop, Connection& conn);
   Loop& LoopOf(uint64_t conn_id) {

@@ -81,6 +81,17 @@ Status DurableRepository::Recover() {
     snapshot_bytes_.store(snapshot_.bytes().size(), std::memory_order_relaxed);
 
     const NameId writer_limit = static_cast<NameId>(loaded.name_map.size());
+    // A current-version block under unchanged writer ids is served
+    // straight out of the mapping, zero copies. Everything else is
+    // copied: a v1 block is upgraded, and when the dynamic-name order
+    // differed (this process interned other names first) the block's
+    // NameIds are rewritten.
+    const bool mapped_view =
+        loaded.version == kSnapshotVersion && loaded.identity_names;
+    const NameRemap* remap = loaded.identity_names ? nullptr : &loaded.name_map;
+    const NameId copy_limit =
+        loaded.identity_names ? writer_limit
+                              : static_cast<NameId>(NameTable::Global().size());
     // Restore is shard-partitioned (shard = id mod N), so shards fill
     // concurrently — this loop, not the mmap, is the bulk of warmup on
     // a large snapshot. Per-shard state is byte-identical to a serial
@@ -90,40 +101,16 @@ Status DurableRepository::Recover() {
     const size_t restore_shards = repo_->num_shards();
     auto restore_one = [&](DocId id) -> Status {
       const LoadedDocument& doc = loaded.documents[id];
-      std::unique_ptr<FlatDoc> flat;
-      if (loaded.identity_names) {
-        // Writer ids are this process's ids: serve straight out of the
-        // mapping, zero copies.
-        auto view = FlatDoc::FromMappedBlock(doc.block.data(),
-                                             doc.block.size(),
-                                             doc.element_count, writer_limit);
-        if (!view.ok()) return view.status();
-        flat = std::move(view).value();
-      } else {
-        // Dynamic-name order differed (this process interned other
-        // names first): copy the block and rewrite its NameId array.
-        auto block = std::make_unique<char[]>(doc.block.size());
-        std::memcpy(block.get(), doc.block.data(), doc.block.size());
-        if (doc.block.size() < size_t{4} * doc.element_count) {
-          return Status::InvalidArgument("snapshot block too small for names");
-        }
-        uint32_t* ids = reinterpret_cast<uint32_t*>(block.get());
-        for (uint32_t i = 0; i < doc.element_count; ++i) {
-          if (ids[i] >= writer_limit) {
-            return Status::InvalidArgument(
-                "snapshot block names an id beyond its NAMES section");
-          }
-          ids[i] = loaded.name_map[ids[i]];
-        }
-        auto owned = FlatDoc::FromOwnedBlock(
-            std::move(block), doc.block.size(), doc.element_count,
-            static_cast<NameId>(NameTable::Global().size()));
-        if (!owned.ok()) return owned.status();
-        flat = std::move(owned).value();
-      }
+      auto flat =
+          mapped_view
+              ? FlatDoc::FromMappedBlock(doc.block.data(), doc.block.size(),
+                                         doc.element_count, writer_limit)
+              : LoadBlockCopy(doc.block, doc.element_count, loaded.version,
+                              remap, copy_limit);
+      if (!flat.ok()) return flat.status();
       // The summary arrives wholesale below, so the document itself is
       // stored without a walk.
-      return repo_->RestoreDocumentAt(id, std::move(flat));
+      return repo_->RestoreDocumentAt(id, std::move(flat).value());
     };
     auto restore_shard = [&](size_t s) -> Status {
       for (size_t id = s; id < doc_total; id += restore_shards) {
@@ -156,14 +143,15 @@ Status DurableRepository::Recover() {
       }
     }
     repo_->SealRestore(doc_total);
-    if (loaded.identity_names) mmap_hits_.Add(doc_total);
+    if (mapped_view) mmap_hits_.Add(doc_total);
     for (LoadedSnapshot::SummaryEntry& entry : loaded.summary) {
       if (entry.name >= writer_limit) {
         return Status::InvalidArgument(
             "snapshot summary names an id beyond its NAMES section");
       }
       WEBRE_RETURN_IF_ERROR(repo_->RestoreSummaryEntry(
-          entry.parent, loaded.name_map[entry.name], std::move(entry.docs),
+          entry.parent, loaded.name_map[entry.name].second,
+          std::move(entry.docs),
           std::move(entry.occurrences)));
     }
     snapshot_docs = loaded.documents.size();
@@ -191,9 +179,9 @@ Status DurableRepository::Recover() {
   std::sort(wal_files.begin(), wal_files.end());
 
   // `rewrite` = the on-disk log set no longer matches what replay
-  // admitted (torn tails, dropped records, a changed shard count) and
-  // must be rewritten so the next Open replays exactly the admitted
-  // set.
+  // admitted (torn tails, dropped records, a changed shard count) or is
+  // a v1 log, which is never appended to; the logs must be rewritten
+  // so the next Open replays exactly the admitted set, in v2.
   bool rewrite = !stray_files.empty();
   {
     std::set<size_t> expected;
@@ -216,11 +204,13 @@ Status DurableRepository::Recover() {
       if (!bytes.empty()) rewrite = true;
       continue;
     }
-    WEBRE_RETURN_IF_ERROR(CheckWalHeader(bytes, seed_hash));
+    uint32_t version = 0;
+    WEBRE_RETURN_IF_ERROR(CheckWalHeader(bytes, seed_hash, &version));
+    if (version != kWalVersion) rewrite = true;
     const std::string_view payload =
         std::string_view(bytes).substr(kWalHeaderSize);
     const size_t before = records.size();
-    const size_t valid_end = ParseWalPayload(payload, records);
+    const size_t valid_end = ParseWalPayload(payload, records, version);
     if (valid_end < payload.size()) {
       rewrite = true;
       wal_truncated_bytes_.Add(payload.size() - valid_end);
@@ -235,7 +225,6 @@ Status DurableRepository::Recover() {
                    [](const WalRecord& a, const WalRecord& b) {
                      return a.doc_id < b.doc_id;
                    });
-  std::vector<const WalRecord*> admitted;
   size_t next_id = snapshot_docs;
   for (const WalRecord& record : records) {
     if (record.doc_id < next_id) {
@@ -259,18 +248,20 @@ Status DurableRepository::Recover() {
     }
     auto id = repo_->AddFrozen(std::move(flat).value());
     if (!id.ok()) return id.status();
-    admitted.push_back(&record);
     ++next_id;
     wal_replayed_.Increment();
   }
-  if (admitted.size() < records.size()) rewrite = true;
+  if (next_id - snapshot_docs < records.size()) rewrite = true;
 
-  // ---- Rewrite the logs when replay dropped or re-homed anything ----
+  // ---- Rewrite the logs when replay dropped, re-homed or upgraded
+  // anything: each admitted document is re-encoded from its stored form.
   if (rewrite) {
     for (size_t s = 0; s < num_shards; ++s) {
       std::string bytes = EncodeWalHeader(seed_hash);
-      for (const WalRecord* record : admitted) {
-        if (record->doc_id % num_shards == s) bytes.append(record->framed);
+      for (DocId id = snapshot_docs; id < next_id; ++id) {
+        if (id % num_shards == s) {
+          bytes.append(EncodeWalRecord(id, *repo_->flat_document(id)));
+        }
       }
       WEBRE_RETURN_IF_ERROR(WriteFileAtomic(WalPath(dir_, s), bytes));
     }

@@ -3,10 +3,15 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "util/status.h"
+#include "xml/flat_doc.h"
+#include "xml/name_table.h"
 
 namespace webre {
 namespace storage {
@@ -108,6 +113,35 @@ class ByteReader {
   size_t size_;
   size_t off_ = 0;
 };
+
+// ---- Stored FlatDoc blocks ----
+
+/// The format version the snapshot and the WAL are written in
+/// (kSnapshotVersion, kWalVersion): a stored block is exactly
+/// FlatDoc::block_data().
+inline constexpr uint32_t kFormatVersion = 2;
+/// Version 1 stored every block with two more arrays: a depth array
+/// after the parents and an ASCII-lowered copy of the text pool at the
+/// end. Both readers still accept v1 files and upgrade their blocks by
+/// copy (LoadBlockCopy); nothing writes v1.
+inline constexpr uint32_t kFormatV1 = 1;
+
+/// Writer-side NameId → this process's NameId, ascending by writer id.
+using NameRemap = std::vector<std::pair<NameId, NameId>>;
+
+/// The copying load of one stored block: copies `stored` (written under
+/// format `version`, kFormatV1 or kFormatVersion) into an owned buffer,
+/// drops a v1 block's depth and lowered arrays (once its v1 size
+/// arithmetic is proven to hold exactly), rewrites every NameId through
+/// `remap` when one is given, and validates the result with
+/// FlatDoc::FromOwnedBlock against `name_limit`. InvalidArgument on any
+/// mismatch — a NameId missing from `remap` included — never an
+/// out-of-range read.
+StatusOr<std::unique_ptr<FlatDoc>> LoadBlockCopy(std::string_view stored,
+                                                 uint32_t element_count,
+                                                 uint32_t version,
+                                                 const NameRemap* remap,
+                                                 NameId name_limit);
 
 }  // namespace storage
 }  // namespace webre

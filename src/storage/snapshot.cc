@@ -222,10 +222,11 @@ Status LoadSnapshotImage(std::string_view image, LoadedSnapshot& out) {
   WEBRE_RETURN_IF_ERROR(header.ReadU64(doc_count));
   WEBRE_RETURN_IF_ERROR(header.ReadU32(header_crc));
   WEBRE_RETURN_IF_ERROR(header.ReadU32(reserved));
-  if (version != kSnapshotVersion) {
+  if (version != kSnapshotVersion && version != kFormatV1) {
     return Status::FailedPrecondition("unsupported snapshot version " +
                                       std::to_string(version));
   }
+  out.version = version;
   if (section_count == 0 || section_count > kMaxSections) {
     return Status::InvalidArgument("implausible snapshot section count");
   }
@@ -311,7 +312,7 @@ Status LoadSnapshotImage(std::string_view image, LoadedSnapshot& out) {
         return Status::ResourceExhausted("name table full loading snapshot");
       }
       out.identity_names = out.identity_names && new_id == i;
-      out.name_map.push_back(new_id);
+      out.name_map.emplace_back(static_cast<NameId>(i), new_id);
     }
     // Only 8-alignment padding may follow the last name.
     std::string_view tail;

@@ -10,6 +10,7 @@
 
 #include "repository/path_index.h"
 #include "repository/repository.h"
+#include "storage/format.h"
 #include "util/status.h"
 #include "xml/flat_doc.h"
 #include "xml/name_table.h"
@@ -17,7 +18,7 @@
 namespace webre {
 namespace storage {
 
-/// Snapshot format v1 (DESIGN.md §14): one flat binary file mirroring
+/// Snapshot format v2 (DESIGN.md §14): one flat binary file mirroring
 /// the repository's in-memory layout, so Open is an mmap plus
 /// validation, not a parse.
 ///
@@ -37,7 +38,8 @@ namespace storage {
 ///     DOCS (2):    u64 doc_count | doc_count × { u64 block_off (rel.
 ///                  to section start) | u64 block_bytes
 ///                  | u32 element_count | u32 pad } | 8-aligned raw
-///                  FlatDoc blocks.
+///                  FlatDoc blocks (v2 layout; a v1 file's blocks still
+///                  carry the depth and lowered arrays).
 ///     SUMMARY (3): u64 entry_count | per entry { u32 parent | u32 name
 ///                  | u64 doc_count | u64 occ_count | docs as u64 each
 ///                  | occs as (u64 doc | u32 pos | u32 pad) } — the
@@ -48,10 +50,13 @@ namespace storage {
 /// seed_hash fingerprints the seeded NameTable vocabulary (FNV-1a over
 /// the seeded names); a snapshot from a different seed generation is
 /// rejected with kFailedPrecondition — its NameIds mean different
-/// strings. A wrong version is likewise kFailedPrecondition; structural
-/// corruption (bad magic, CRC, bounds) is kInvalidArgument.
+/// strings. A version other than v2 or v1 is likewise
+/// kFailedPrecondition; structural corruption (bad magic, CRC, bounds)
+/// is kInvalidArgument. A v1 file is read, never written: its blocks
+/// are upgraded by copy (LoadBlockCopy), so none is served from the
+/// mapping, and the next checkpoint writes v2.
 
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = kFormatVersion;
 inline constexpr size_t kSnapshotHeaderSize = 40;
 inline constexpr uint32_t kSectionNames = 1;
 inline constexpr uint32_t kSectionDocs = 2;
@@ -75,20 +80,23 @@ Status WriteSnapshotFile(const std::string& dir, std::string_view image);
 struct LoadedDocument {
   uint32_t element_count = 0;
   /// Block bytes within the snapshot image (usable in place only when
-  /// `identity_names` below is true and the image is a long-lived
-  /// mapping).
+  /// the file is v2, `identity_names` below is true and the image is a
+  /// long-lived mapping).
   std::string_view block;
 };
 
 /// Decoded snapshot, still borrowing the image bytes.
 struct LoadedSnapshot {
+  /// The file's format version: kSnapshotVersion or kFormatV1.
+  uint32_t version = kSnapshotVersion;
   /// True when re-interning the NAMES section reproduced every id —
   /// blocks are then servable as zero-copy views over the mapping.
   /// False means dynamic-name order differed; blocks must be copied
   /// with their leading NameId array rewritten through `name_map`.
   bool identity_names = true;
-  /// Writer-side NameId → this process's NameId, for every stored name.
-  std::vector<NameId> name_map;
+  /// Writer-side NameId → this process's NameId, for every stored name
+  /// (so name_map[i].first == i).
+  NameRemap name_map;
   std::vector<LoadedDocument> documents;
 
   struct SummaryEntry {

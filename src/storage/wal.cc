@@ -53,7 +53,8 @@ std::string EncodeWalHeader(uint64_t seed_hash) {
   return out;
 }
 
-Status CheckWalHeader(std::string_view file, uint64_t seed_hash) {
+Status CheckWalHeader(std::string_view file, uint64_t seed_hash,
+                      uint32_t* version_out) {
   if (file.size() < kWalHeaderSize) {
     return Status::InvalidArgument("WAL shorter than its header");
   }
@@ -68,7 +69,7 @@ Status CheckWalHeader(std::string_view file, uint64_t seed_hash) {
   if (s.ok()) s = reader.ReadU32(reserved);
   if (s.ok()) s = reader.ReadU64(stored_hash);
   if (!s.ok()) return s;
-  if (version != kWalVersion) {
+  if (version != kWalVersion && version != kFormatV1) {
     return Status::FailedPrecondition("unsupported WAL version " +
                                       std::to_string(version));
   }
@@ -76,6 +77,7 @@ Status CheckWalHeader(std::string_view file, uint64_t seed_hash) {
     return Status::FailedPrecondition(
         "WAL written against a different seeded name vocabulary");
   }
+  if (version_out != nullptr) *version_out = version;
   return Status::Ok();
 }
 
@@ -114,11 +116,10 @@ std::string EncodeWalRecord(uint64_t doc_id, const FlatDoc& flat) {
 }
 
 size_t ParseWalPayload(std::string_view payload,
-                       std::vector<WalRecord>& records) {
+                       std::vector<WalRecord>& records, uint32_t version) {
   size_t valid_end = 0;
   ByteReader reader(payload);
   while (reader.remaining() >= 8) {
-    const size_t frame_start = reader.offset();
     uint32_t body_len = 0;
     uint32_t body_crc = 0;
     if (!reader.ReadU32(body_len).ok() || !reader.ReadU32(body_crc).ok()) {
@@ -132,7 +133,7 @@ size_t ParseWalPayload(std::string_view payload,
     if (Crc32c(body.data(), body.size()) != body_crc) break;
 
     WalRecord record;
-    record.framed = payload.substr(frame_start, 8 + body_len);
+    record.version = version;
     ByteReader br(body);
     uint32_t name_count = 0;
     Status s = br.ReadU64(record.doc_id);
@@ -171,7 +172,7 @@ StatusOr<std::unique_ptr<FlatDoc>> DecodeWalDocument(const WalRecord& record) {
   // same-process (or identically-seeded) case every id maps to itself
   // and the block is usable verbatim.
   bool identity = true;
-  std::vector<std::pair<NameId, NameId>> remap;  // old → new, old ascending
+  NameRemap remap;
   remap.reserve(record.names.size());
   for (const auto& [old_id, name] : record.names) {
     NameId new_id;
@@ -187,31 +188,9 @@ StatusOr<std::unique_ptr<FlatDoc>> DecodeWalDocument(const WalRecord& record) {
     identity = identity && old_id == new_id;
   }
 
-  auto block = std::make_unique<char[]>(record.block_bytes);
-  std::memcpy(block.get(), record.block.data(), record.block_bytes);
-
-  if (!identity) {
-    // The block's leading element_count u32s are its NameIds; rewrite
-    // them through the dictionary before validation.
-    if (record.block_bytes < size_t{4} * record.element_count) {
-      return Status::InvalidArgument("WAL record block too small for names");
-    }
-    uint32_t* ids = reinterpret_cast<uint32_t*>(block.get());
-    for (uint32_t i = 0; i < record.element_count; ++i) {
-      const auto it = std::lower_bound(
-          remap.begin(), remap.end(), std::make_pair(ids[i], NameId{0}),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      if (it == remap.end() || it->first != ids[i]) {
-        return Status::InvalidArgument(
-            "WAL record names a NameId missing from its dictionary");
-      }
-      ids[i] = it->second;
-    }
-  }
-
-  return FlatDoc::FromOwnedBlock(std::move(block), record.block_bytes,
-                                 record.element_count,
-                                 static_cast<NameId>(names.size()));
+  return LoadBlockCopy(record.block, record.element_count, record.version,
+                       identity ? nullptr : &remap,
+                       static_cast<NameId>(names.size()));
 }
 
 StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "repository/path_index.h"
+#include "storage/format.h"
 #include "util/status.h"
 #include "xml/flat_doc.h"
 #include "xml/name_table.h"
@@ -29,55 +30,61 @@ namespace storage {
 ///   body    = u64 doc_id | u32 element_count | u32 name_count
 ///           | u64 block_bytes
 ///           | name_count × (u32 name_id | u32 len | bytes)   dictionary
-///           | block_bytes raw FlatDoc block
+///           | block_bytes raw FlatDoc block (v2 layout; a v1 log's
+///             blocks still carry the depth and lowered arrays)
 ///
 /// Records carry a per-document name dictionary (the distinct NameIds
 /// the block uses, with their strings), so replay in a process whose
 /// dynamic-name order differs can remap the block instead of serving
 /// garbage names. A torn or corrupt record ends the valid prefix —
 /// recovery truncates there instead of failing (wal_truncated_bytes).
+/// A v1 log is replayed (its blocks upgraded by copy) but never
+/// appended to: recovery rewrites it in v2 first.
 
 /// Fixed WAL file header size in bytes.
 inline constexpr size_t kWalHeaderSize = 24;
-inline constexpr uint32_t kWalVersion = 1;
+inline constexpr uint32_t kWalVersion = kFormatVersion;
 
 /// Serializes the WAL file header for `seed_hash`.
 std::string EncodeWalHeader(uint64_t seed_hash);
 
-/// Validates a WAL file's header. kFailedPrecondition for a wrong
-/// magic/version or NameTable generation; InvalidArgument when the
-/// file is shorter than a header (torn header — recovery treats the
-/// whole file as truncated).
-Status CheckWalHeader(std::string_view file, uint64_t seed_hash);
+/// Validates a WAL file's header and, when `version` is non-null,
+/// stores its format version there (kWalVersion or kFormatV1).
+/// kFailedPrecondition for a wrong magic/version or NameTable
+/// generation; InvalidArgument when the file is shorter than a header
+/// (torn header — recovery treats the whole file as truncated).
+Status CheckWalHeader(std::string_view file, uint64_t seed_hash,
+                      uint32_t* version = nullptr);
 
-/// One parsed (still borrowed) WAL record. `framed` spans the record's
-/// on-disk bytes including framing, so recovery can re-append a
-/// surviving record verbatim when it rewrites a log.
+/// One parsed (still borrowed) WAL record.
 struct WalRecord {
   uint64_t doc_id = 0;
   uint32_t element_count = 0;
   uint64_t block_bytes = 0;
+  /// Format version of the log the record came from.
+  uint32_t version = kWalVersion;
   /// Distinct (writer-side NameId, name string) pairs the block uses.
   std::vector<std::pair<NameId, std::string_view>> names;
-  std::string_view block;   ///< raw FlatDoc block bytes
-  std::string_view framed;  ///< the whole record as stored
+  std::string_view block;  ///< raw FlatDoc block bytes
 };
 
 /// Encodes one record (framing included) for the given document.
 std::string EncodeWalRecord(uint64_t doc_id, const FlatDoc& flat);
 
-/// Parses records from `payload` (the file after its header) until the
-/// first torn or corrupt record; returns the byte length of the valid
-/// prefix. Never fails: garbage simply ends the prefix. Parsed records
-/// view `payload` — keep it alive while they are used.
+/// Parses records from `payload` (the file after its header, written
+/// in format `version`) until the first torn or corrupt record; returns
+/// the byte length of the valid prefix. Never fails: garbage simply
+/// ends the prefix. Parsed records view `payload` — keep it alive while
+/// they are used.
 size_t ParseWalPayload(std::string_view payload,
-                       std::vector<WalRecord>& records);
+                       std::vector<WalRecord>& records,
+                       uint32_t version = kWalVersion);
 
-/// Rebuilds an owned FlatDoc from a parsed record, remapping NameIds
-/// through the record's dictionary into the current process's
-/// NameTable when the writer's ids differ. InvalidArgument when the
-/// block references a NameId missing from its dictionary or fails
-/// structural validation.
+/// Rebuilds an owned FlatDoc from a parsed record through
+/// LoadBlockCopy, upgrading a v1 block and remapping NameIds through
+/// the record's dictionary into the current process's NameTable when
+/// the writer's ids differ. InvalidArgument when the block references a
+/// NameId missing from its dictionary or fails structural validation.
 StatusOr<std::unique_ptr<FlatDoc>> DecodeWalDocument(const WalRecord& record);
 
 /// Append handle on one shard's log file. Not internally synchronized;

@@ -9,9 +9,9 @@
 namespace webre {
 
 /// Vectorized case-insensitive substring search — the one matcher behind
-/// every `[val~"…"]` predicate (the value-column scans,
-/// FlatDoc::ValContainsLowered over the pre-lowered text pool) and the
-/// repository's full-pool sweeps (repository/predicate.h).
+/// every `[val~"…"]` predicate: the value-column scans, the per-element
+/// slice scans over a FlatDoc's raw text pool and the repository's
+/// full-pool sweeps (repository/predicate.h).
 ///
 /// The implementation is picked once per process, mirroring the CRC32C
 /// dispatch (storage/crc32c.cc): cpuid decides between scalar, SSE2 and
@@ -76,9 +76,9 @@ inline size_t FindScalarLowered(const char* h, size_t n, const char* needle,
 }  // namespace simd_internal
 
 /// Byte offset of the first occurrence of `lowered` in `haystack` at or
-/// after `from`, comparing haystack bytes ASCII-lowered on the fly (a
-/// pre-lowered haystack is matched unchanged — lowering is idempotent);
-/// `lowered` must already be ASCII-lowercase. Returns
+/// after `from`, comparing haystack bytes ASCII-lowered on the fly, so
+/// raw stored values need no lowered copy; `lowered` must already be
+/// ASCII-lowercase. Returns
 /// std::string_view::npos when absent. An empty needle matches at `from`
 /// whenever `from` <= haystack.size().
 ///

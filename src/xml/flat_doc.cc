@@ -3,8 +3,6 @@
 #include <cstring>
 #include <vector>
 
-#include "util/strings.h"
-
 namespace webre {
 namespace {
 
@@ -25,7 +23,6 @@ std::unique_ptr<FlatDoc> FlatDoc::Freeze(const Node& root) {
   // because queries address elements and their `val` attribute.
   std::vector<NameId> names;
   std::vector<uint32_t> parents;
-  std::vector<uint32_t> depths;
   std::vector<uint32_t> ends;
   std::vector<uint32_t> offsets;
   std::string text;
@@ -33,16 +30,13 @@ std::unique_ptr<FlatDoc> FlatDoc::Freeze(const Node& root) {
   const size_t hint = root.SubtreeSize();
   names.reserve(hint);
   parents.reserve(hint);
-  depths.reserve(hint);
   ends.reserve(hint);
   offsets.reserve(hint + 1);
 
-  auto open = [&](const Node& node, uint32_t parent,
-                  uint32_t depth) -> uint32_t {
+  auto open = [&](const Node& node, uint32_t parent) -> uint32_t {
     uint32_t index = static_cast<uint32_t>(names.size());
     names.push_back(node.name_id());
     parents.push_back(parent);
-    depths.push_back(depth);
     ends.push_back(0);  // patched when the subtree closes
     offsets.push_back(static_cast<uint32_t>(text.size()));
     text.append(node.val());
@@ -50,7 +44,7 @@ std::unique_ptr<FlatDoc> FlatDoc::Freeze(const Node& root) {
   };
 
   std::vector<Frame> stack;
-  stack.push_back(Frame{&root, open(root, kNoParent, 0), 0});
+  stack.push_back(Frame{&root, open(root, kNoParent), 0});
   while (!stack.empty()) {
     Frame& top = stack.back();
     const auto& children = top.node->children();
@@ -66,18 +60,17 @@ std::unique_ptr<FlatDoc> FlatDoc::Freeze(const Node& root) {
     top.child = child + 1;
     const Node* node = children[child].get();
     const uint32_t parent = top.index;
-    const uint32_t depth = depths[parent] + 1;
     // `open` and push_back may reallocate; `top` is dead after this.
-    stack.push_back(Frame{node, open(*node, parent, depth), 0});
+    stack.push_back(Frame{node, open(*node, parent), 0});
   }
   offsets.push_back(static_cast<uint32_t>(text.size()));
 
   // Phase two: pack everything into one block. All uint32 arrays come
   // first so their 4-byte alignment holds (the block itself is at
-  // least pointer-aligned); the two byte pools follow.
+  // least pointer-aligned); the text pool follows.
   const size_t count = names.size();
-  const size_t ints_bytes = sizeof(uint32_t) * (4 * count + (count + 1));
-  const size_t block_bytes = ints_bytes + 2 * text.size();
+  const size_t ints_bytes = sizeof(uint32_t) * (3 * count + (count + 1));
+  const size_t block_bytes = ints_bytes + text.size();
 
   std::unique_ptr<FlatDoc> doc(new FlatDoc());
   doc->count_ = static_cast<uint32_t>(count);
@@ -93,18 +86,11 @@ std::unique_ptr<FlatDoc> FlatDoc::Freeze(const Node& root) {
   };
   doc->names_ = place_u32(names);
   doc->parents_ = place_u32(parents);
-  doc->depths_ = place_u32(depths);
   doc->subtree_end_ = place_u32(ends);
   doc->text_off_ = place_u32(offsets);
 
-  char* raw = cursor;
-  std::memcpy(raw, text.data(), text.size());
-  doc->text_ = raw;
-  char* lower = raw + text.size();
-  for (size_t i = 0; i < text.size(); ++i) {
-    lower[i] = AsciiToLower(text[i]);
-  }
-  doc->lower_ = lower;
+  std::memcpy(cursor, text.data(), text.size());
+  doc->text_ = cursor;
   return doc;
 }
 
@@ -114,16 +100,16 @@ Status FlatDoc::InitFromBlock(const char* base, size_t block_bytes,
   // header makes about the block is proven here, so the accessors above
   // can stay unchecked index arithmetic.
   const size_t count = element_count;
-  // 4 parallel arrays of `count` u32s plus count+1 text offsets. Cap the
+  // 3 parallel arrays of `count` u32s plus count+1 text offsets. Cap the
   // count so the size arithmetic cannot overflow even on 32-bit size_t.
-  if (count > (1u << 28)) {
+  if (count > kMaxElements) {
     return Status::InvalidArgument("flat block: element count too large");
   }
-  const size_t ints_bytes = sizeof(uint32_t) * (5 * count + 1);
-  if (block_bytes < ints_bytes || (block_bytes - ints_bytes) % 2 != 0) {
+  const size_t ints_bytes = sizeof(uint32_t) * (4 * count + 1);
+  if (block_bytes < ints_bytes) {
     return Status::InvalidArgument("flat block: size does not match layout");
   }
-  const size_t text_size = (block_bytes - ints_bytes) / 2;
+  const size_t text_size = block_bytes - ints_bytes;
   if (text_size > 0xFFFFFFFFu) {
     return Status::InvalidArgument("flat block: text pool too large");
   }
@@ -131,9 +117,8 @@ Status FlatDoc::InitFromBlock(const char* base, size_t block_bytes,
   const uint32_t* u32s = reinterpret_cast<const uint32_t*>(base);
   const uint32_t* names = u32s;
   const uint32_t* parents = u32s + count;
-  const uint32_t* depths = u32s + 2 * count;
-  const uint32_t* ends = u32s + 3 * count;
-  const uint32_t* offsets = u32s + 4 * count;
+  const uint32_t* ends = u32s + 2 * count;
+  const uint32_t* offsets = u32s + 3 * count;
 
   if (offsets[0] != 0 ||
       offsets[count] != static_cast<uint32_t>(text_size)) {
@@ -146,17 +131,14 @@ Status FlatDoc::InitFromBlock(const char* base, size_t block_bytes,
     if (names[i] >= name_limit) {
       return Status::InvalidArgument("flat block: NameId out of range");
     }
-    // Pre-order invariants: parents precede children; depth increments
-    // along the parent edge; subtrees nest.
+    // Pre-order invariants: parents precede children; subtrees nest.
     if (i == 0) {
-      if (parents[0] != kNoParent || depths[0] != 0 ||
-          (count > 0 && ends[0] != count)) {
+      if (parents[0] != kNoParent || (count > 0 && ends[0] != count)) {
         return Status::InvalidArgument("flat block: malformed root");
       }
     } else {
       const uint32_t parent = parents[i];
-      if (parent >= i || depths[i] != depths[parent] + 1 ||
-          ends[i] > ends[parent]) {
+      if (parent >= i || ends[i] > ends[parent]) {
         return Status::InvalidArgument("flat block: malformed tree links");
       }
     }
@@ -169,11 +151,9 @@ Status FlatDoc::InitFromBlock(const char* base, size_t block_bytes,
   block_bytes_ = block_bytes;
   names_ = names;
   parents_ = parents;
-  depths_ = depths;
   subtree_end_ = ends;
   text_off_ = offsets;
   text_ = base + ints_bytes;
-  lower_ = base + ints_bytes + text_size;
   return Status::Ok();
 }
 

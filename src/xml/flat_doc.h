@@ -6,7 +6,6 @@
 #include <memory>
 #include <string_view>
 
-#include "util/simd_scan.h"
 #include "util/status.h"
 #include "xml/name_table.h"
 #include "xml/node.h"
@@ -24,16 +23,13 @@ namespace webre {
 ///
 ///   name[i]         interned NameId of element i
 ///   parent[i]       pre-order index of i's parent (kNoParent for root)
-///   depth[i]        0 for the root, parent depth + 1 otherwise
 ///   subtree_end[i]  one past the last pre-order index in i's subtree,
 ///                   so i's descendants are exactly [i+1, subtree_end[i])
-///   text_off[i]     byte offset of element i's val in the text pools
+///   text_off[i]     byte offset of element i's val in the text pool
 ///                   (element_count + 1 entries; slices are adjacent)
-///   text            concatenated raw val bytes
-///   lower           the same bytes ASCII-lowered once at freeze time,
-///                   so a [val~"…"] predicate is a linear substring scan
-///                   over dense bytes — no per-node lowering, no
-///                   attribute-list walk
+///   text            concatenated raw val bytes; a [val~"…"] predicate
+///                   is a linear case-folding substring scan over them
+///                   (FindLowered lowers the haystack as it goes)
 ///
 /// Traversal idioms (all index arithmetic, no pointers):
 ///   children of e:     for (f = e + 1; f < subtree_end(e); f = subtree_end(f))
@@ -46,6 +42,9 @@ class FlatDoc {
  public:
   /// Parent marker of the root element.
   static constexpr uint32_t kNoParent = 0xFFFFFFFFu;
+  /// Largest element count a block may claim; keeps every block size
+  /// computation far from overflow, even on 32-bit size_t.
+  static constexpr uint32_t kMaxElements = 1u << 28;
 
   /// Builds the flat form of `root`'s element tree. `root` must be an
   /// element; the walk is iterative, so pathological depth cannot
@@ -86,7 +85,6 @@ class FlatDoc {
     return NameTable::Global().NameOf(names_[i]);
   }
   uint32_t parent(uint32_t i) const { return parents_[i]; }
-  uint32_t depth(uint32_t i) const { return depths_[i]; }
   /// One past the last pre-order index of i's subtree (i's descendants
   /// are [i + 1, subtree_end(i)); i's next sibling starts there).
   uint32_t subtree_end(uint32_t i) const { return subtree_end_[i]; }
@@ -97,32 +95,18 @@ class FlatDoc {
     return std::string_view(text_ + text_off_[i],
                             text_off_[i + 1] - text_off_[i]);
   }
-  /// The same bytes, ASCII-lowered at freeze time.
-  std::string_view val_lowered(uint32_t i) const {
-    return std::string_view(lower_ + text_off_[i],
-                            text_off_[i + 1] - text_off_[i]);
-  }
-  /// True iff element i's val contains `lowered` (which must already be
-  /// ASCII-lowered; an empty needle matches everything). This is the
-  /// per-element predicate fast path: the runtime-dispatched SIMD
-  /// scanner over the pre-lowered slice (re-lowering lowered bytes is
-  /// the identity, so the shared kernel needs no pre-lowered variant).
-  bool ValContainsLowered(uint32_t i, std::string_view lowered) const {
-    return FindLowered(val_lowered(i), lowered) != std::string_view::npos;
-  }
-
-  /// The entire pre-lowered text pool — element i's val occupies bytes
+  /// The entire raw text pool — element i's val occupies bytes
   /// [text_offsets()[i], text_offsets()[i+1]), and slices are adjacent
   /// with no separators. The repository's predicate engine scans this
   /// whole pool in one SIMD pass and maps hits back to elements through
   /// text_offsets() (repository/predicate.h); a hit straddling two
   /// adjacent slices is rejected there, never here.
-  std::string_view lowered_pool() const {
-    return std::string_view(lower_, text_off_[count_]);
+  std::string_view text_pool() const {
+    return std::string_view(text_, text_off_[count_]);
   }
-  /// The text-offset array backing val()/val_lowered():
-  /// element_count() + 1 ascending entries, text_off[0] == 0 and
-  /// text_off[element_count()] == pool size.
+  /// The text-offset array backing val(): element_count() + 1 ascending
+  /// entries, text_off[0] == 0 and text_off[element_count()] == pool
+  /// size.
   const uint32_t* text_offsets() const { return text_off_; }
 
   /// Bytes of the single backing block (the document's entire
@@ -132,8 +116,8 @@ class FlatDoc {
   /// The backing block's raw bytes ([block_data, block_data +
   /// block_bytes)); with element_count they are sufficient to rebuild
   /// the document via FromOwnedBlock — the storage serialization
-  /// surface. Layout: names, parents, depths, subtree_end (count u32s
-  /// each), text_off (count+1 u32s), raw text pool, lowered text pool.
+  /// surface. Layout (format v2): names, parents, subtree_end (count
+  /// u32s each), text_off (count+1 u32s), raw text pool.
   const char* block_data() const {
     return reinterpret_cast<const char*>(names_);
   }
@@ -156,11 +140,9 @@ class FlatDoc {
   std::unique_ptr<char[]> block_;
   const NameId* names_ = nullptr;
   const uint32_t* parents_ = nullptr;
-  const uint32_t* depths_ = nullptr;
   const uint32_t* subtree_end_ = nullptr;
   const uint32_t* text_off_ = nullptr;
   const char* text_ = nullptr;
-  const char* lower_ = nullptr;
 };
 
 }  // namespace webre

@@ -28,11 +28,11 @@ namespace {
 using Canonical = std::vector<std::pair<size_t, uint32_t>>;
 
 // The value of one occurrence as the column should hold it.
-std::string LoweredVal(const PathOccurrence& occ) {
-  return AsciiLower(occ.flat->val(occ.pos));
+std::string_view RawVal(const PathOccurrence& occ) {
+  return occ.flat->val(occ.pos);
 }
 
-// Every entry's column is the concatenation of its occurrences' lowered
+// Every entry's column is the concatenation of its occurrences' raw
 // values, in occurrence order, and occurrences are (doc, pos)-sorted.
 void ExpectColumnsConsistent(const PathIndex& index) {
   for (uint32_t id = 0; id < index.path_count(); ++id) {
@@ -42,7 +42,7 @@ void ExpectColumnsConsistent(const PathIndex& index) {
     std::string expected;
     EXPECT_EQ(entry.column_off[0], 0u) << "path " << id;
     for (size_t i = 0; i < entry.occurrences.size(); ++i) {
-      expected += LoweredVal(entry.occurrences[i]);
+      expected += RawVal(entry.occurrences[i]);
       EXPECT_EQ(entry.column_off[i + 1], expected.size())
           << "path " << id << " occurrence " << i;
       if (i > 0) {

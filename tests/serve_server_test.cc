@@ -275,7 +275,7 @@ TEST_F(ServerTest, OversizedAnnouncementClosesWithBadFrame) {
   // 1 MiB ingest against a 4 KiB frame cap: rejected from the header.
   auto response =
       client->Call(Req(MsgType::kIngest, 1, std::string(1u << 20, 'x')));
-  ASSERT_TRUE(response.ok());
+  ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->error, WireError::kBadFrame);
   EXPECT_FALSE(client->Receive().ok());  // connection closed
 }

@@ -197,8 +197,8 @@ std::unique_ptr<Node> DocFromVals(const std::vector<std::string>& vals) {
   return root;
 }
 
-/// SweepValBitset must agree bit-for-bit with per-element
-/// ValContainsLowered — the element-wise definition it accelerates.
+/// SweepValBitset must agree bit-for-bit with a per-element FindLowered
+/// over each raw value — the element-wise definition it accelerates.
 void ExpectSweepMatchesElementwise(const FlatDoc& flat,
                                    std::string_view needle,
                                    PredicateScratch& scratch) {
@@ -207,7 +207,8 @@ void ExpectSweepMatchesElementwise(const FlatDoc& flat,
     SetSimdLevelForTesting(level);
     const uint64_t* bits = SweepValBitset(flat, needle, scratch);
     for (uint32_t e = 0; e < flat.element_count(); ++e) {
-      EXPECT_EQ(BitsetTest(bits, e), flat.ValContainsLowered(e, needle))
+      EXPECT_EQ(BitsetTest(bits, e),
+                FindLowered(flat.val(e), needle) != std::string_view::npos)
           << "level=" << SimdLevelName(level) << " element=" << e
           << " needle=\"" << needle << "\"";
     }

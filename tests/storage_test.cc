@@ -5,6 +5,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -16,10 +17,12 @@
 #include "schema/path_extractor.h"
 #include "storage/crc32c.h"
 #include "storage/durable_repository.h"
+#include "storage/format.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/file.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "xml/flat_doc.h"
 #include "xml/name_table.h"
 #include "xml/node.h"
@@ -92,10 +95,8 @@ TEST(FlatDocBlock, OwnedRoundtrip) {
   for (uint32_t i = 0; i < doc.element_count(); ++i) {
     EXPECT_EQ(doc.name(i), original->name(i));
     EXPECT_EQ(doc.parent(i), original->parent(i));
-    EXPECT_EQ(doc.depth(i), original->depth(i));
     EXPECT_EQ(doc.subtree_end(i), original->subtree_end(i));
     EXPECT_EQ(doc.val(i), original->val(i));
-    EXPECT_EQ(doc.val_lowered(i), original->val_lowered(i));
   }
 }
 
@@ -135,11 +136,12 @@ TEST(FlatDocBlock, RejectsStructuralCorruption) {
   // Parent link not strictly backward (parents[2] = 2).
   EXPECT_EQ(corrupt_u32(count + 2, 2).status().code(),
             StatusCode::kInvalidArgument);
-  // Root's subtree_end not covering the document.
-  EXPECT_EQ(corrupt_u32(3 * count + 0, count - 1).status().code(),
+  // Root's subtree_end not covering the document (v2 layout: names,
+  // parents, subtree_end, text_off).
+  EXPECT_EQ(corrupt_u32(2 * count + 0, count - 1).status().code(),
             StatusCode::kInvalidArgument);
   // Text offsets non-monotonic / out of range.
-  EXPECT_EQ(corrupt_u32(4 * count + 1, 0xFFFFFFF0u).status().code(),
+  EXPECT_EQ(corrupt_u32(3 * count + 1, 0xFFFFFFF0u).status().code(),
             StatusCode::kInvalidArgument);
 
   // Truncated block.
@@ -163,6 +165,90 @@ TEST(ExtractPathsFlat, MatchesTreeExtraction) {
     EXPECT_EQ(from_flat.parent_index, from_tree.parent_index);
     EXPECT_EQ(from_flat.leaf_name, from_tree.leaf_name);
   }
+}
+
+// The v1 form of `flat`'s block: a depth array after the parents and
+// an ASCII-lowered copy of the text pool at the end.
+std::string V1Block(const FlatDoc& flat) {
+  const uint32_t count = flat.element_count();
+  const char* v2 = flat.block_data();
+  std::string out(v2, size_t{8} * count);  // names, parents
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t depth = 0;
+    for (uint32_t p = flat.parent(i); p != FlatDoc::kNoParent;
+         p = flat.parent(p)) {
+      ++depth;
+    }
+    out.append(reinterpret_cast<const char*>(&depth), 4);
+  }
+  const size_t tail = size_t{4} * (2 * count + 1);  // subtree_end, text_off
+  out.append(v2 + size_t{8} * count, tail);
+  const std::string_view text = flat.text_pool();
+  out.append(text);
+  for (char c : text) out.push_back(AsciiToLower(c));
+  return out;
+}
+
+TEST(LoadBlockCopy, CopiesV2AndUpgradesV1) {
+  const std::unique_ptr<FlatDoc> original = FlatDoc::Freeze(*MakeDoc(11));
+  const NameId limit = static_cast<NameId>(NameTable::Global().size());
+  const std::string_view v2(original->block_data(), original->block_bytes());
+  const std::string v1 = V1Block(*original);
+  ASSERT_EQ(v1.size(), v2.size() + 4 * original->element_count() +
+                           original->text_pool().size());
+
+  for (const auto& [stored, version] :
+       {std::pair<std::string_view, uint32_t>{v2, kFormatVersion},
+        std::pair<std::string_view, uint32_t>{v1, kFormatV1}}) {
+    auto loaded = LoadBlockCopy(stored, original->element_count(), version,
+                                nullptr, limit);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_FALSE((*loaded)->is_view());
+    ASSERT_EQ((*loaded)->block_bytes(), original->block_bytes());
+    EXPECT_EQ(std::memcmp((*loaded)->block_data(), original->block_data(),
+                          original->block_bytes()),
+              0)
+        << "version " << version;
+  }
+}
+
+TEST(LoadBlockCopy, RejectsBadV1SizesUnknownVersionsAndUnmappedNames) {
+  const std::unique_ptr<FlatDoc> original = FlatDoc::Freeze(*MakeDoc(12));
+  const uint32_t count = original->element_count();
+  const NameId limit = static_cast<NameId>(NameTable::Global().size());
+  const std::string v1 = V1Block(*original);
+
+  // The two v1 pools must be equally long, and the integer arrays whole.
+  EXPECT_EQ(LoadBlockCopy(v1 + "x", count, kFormatV1, nullptr, limit)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadBlockCopy(std::string_view(v1).substr(0, 4 * count), count,
+                          kFormatV1, nullptr, limit)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A v2 block read as v1 (or vice versa) fails validation.
+  const std::string_view v2(original->block_data(), original->block_bytes());
+  EXPECT_FALSE(LoadBlockCopy(v2, count, kFormatV1, nullptr, limit).ok());
+  EXPECT_FALSE(LoadBlockCopy(v1, count, kFormatVersion, nullptr, limit).ok());
+  EXPECT_EQ(LoadBlockCopy(v2, count, 7, nullptr, limit).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A remap must cover every NameId the block uses; one that does
+  // rewrites them all.
+  NameRemap remap;
+  for (uint32_t i = 0; i < count; ++i) {
+    remap.emplace_back(original->name(i), original->name(i));
+  }
+  std::sort(remap.begin(), remap.end());
+  remap.erase(std::unique(remap.begin(), remap.end()), remap.end());
+  auto remapped = LoadBlockCopy(v1, count, kFormatV1, &remap, limit);
+  ASSERT_TRUE(remapped.ok()) << remapped.status();
+  EXPECT_EQ((*remapped)->name(count - 1), original->name(count - 1));
+  remap.pop_back();
+  EXPECT_EQ(LoadBlockCopy(v1, count, kFormatV1, &remap, limit).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WalCodec, HeaderRoundtripAndGuards) {
