@@ -11,9 +11,11 @@
 # server, its rings and the striped cache) under ThreadSanitizer — the
 # fast targeted sweep for serving-layer changes. asan-convert runs only
 # the `convert`-labeled tests (golden, converter, text-rules
-# differential, pathological input, resource limits, consolidation and
-# crawler) under ASan+UBSan — the targeted sweep for changes to the
-# conversion path, which splices and re-homes nodes and views text.
+# differential, pathological input, resource limits, consolidation,
+# crawler, the mapper and the node arena) under ASan+UBSan — the
+# targeted sweep for changes to the conversion path, which splices and
+# re-homes nodes and views text. A recycled arena slot is poisoned
+# until reused, so a read through a dangling Node* fails here.
 # asan-storage runs only the `storage`-labeled tests (storage, snapshot
 # reload and crash injection) under ASan+UBSan — the targeted sweep for
 # changes to WAL replay and snapshot restore, which hand mapped FlatDoc

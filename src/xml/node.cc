@@ -10,38 +10,46 @@
 namespace webre {
 namespace {
 
-// Hidden allocation header prepended to every Node. 16 bytes keeps the
-// node payload aligned for max_align_t on all supported targets.
+// Hidden allocation header prepended to every Node: the owning
+// NodeArena, or null for a heap node. 16 bytes keeps the node payload
+// aligned for max_align_t on all supported targets.
 constexpr size_t kNodeHeaderBytes = 16;
 static_assert(kNodeHeaderBytes % alignof(std::max_align_t) == 0,
               "node header must preserve max alignment");
+static_assert(sizeof(NodeArena*) <= kNodeHeaderBytes,
+              "node header must hold the owning arena");
 
-enum class AllocOrigin : uint64_t { kHeap = 0, kArena = 1 };
+// Every Node allocation is one slot of this size (Node has no subclasses).
+constexpr size_t kNodeSlotBytes = sizeof(Node) + kNodeHeaderBytes;
 
 thread_local uint64_t tls_node_allocations = 0;
 
 }  // namespace
 
 void* Node::operator new(size_t size) {
+  assert(size == sizeof(Node));
   ++tls_node_allocations;
   NodeArena* arena = NodeArena::Current();
-  void* raw = arena != nullptr
-                  ? arena->AllocateNode(size + kNodeHeaderBytes)
-                  : ::operator new(size + kNodeHeaderBytes);
-  *static_cast<uint64_t*>(raw) = static_cast<uint64_t>(
-      arena != nullptr ? AllocOrigin::kArena : AllocOrigin::kHeap);
+  void* raw = arena != nullptr ? arena->AllocateNode(size + kNodeHeaderBytes)
+                               : ::operator new(size + kNodeHeaderBytes);
+  *static_cast<NodeArena**>(raw) = arena;
   return static_cast<char*>(raw) + kNodeHeaderBytes;
 }
 
 void Node::operator delete(void* ptr) noexcept {
   if (ptr == nullptr) return;
   void* raw = static_cast<char*>(ptr) - kNodeHeaderBytes;
-  // Arena nodes are freed wholesale when their arena dies; the
-  // destructor has already run by the time we get here.
-  if (*static_cast<uint64_t*>(raw) ==
-      static_cast<uint64_t>(AllocOrigin::kHeap)) {
+  NodeArena* arena = *static_cast<NodeArena**>(raw);
+  if (arena == nullptr) {
     ::operator delete(raw);
+    return;
   }
+  // The destructor has already run. The slot is recycled only under its
+  // own arena's scope on this thread: one arena's trees (a document and
+  // its mapped copy) may be freed on different threads, and only the
+  // thread inside the scope may touch the free list. Any other delete
+  // leaves the slot to die with the arena.
+  if (arena == NodeArena::Current()) arena->ReleaseNode(raw, kNodeSlotBytes);
 }
 
 void Node::operator delete(void* ptr, size_t /*size*/) noexcept {
@@ -200,15 +208,17 @@ Node* Node::AddText(std::string text) {
   return AddChild(MakeText(std::move(text)));
 }
 
+std::unique_ptr<Node> Node::CloneShallow() const {
+  std::unique_ptr<Node> copy(new Node(type_));
+  copy->name_id_ = name_id_;
+  copy->text_ = text_;
+  copy->attributes_ = attributes_;
+  return copy;
+}
+
 std::unique_ptr<Node> Node::Clone() const {
-  auto copy_one = [](const Node& src) {
-    std::unique_ptr<Node> copy(new Node(src.type_));
-    copy->name_id_ = src.name_id_;
-    copy->text_ = src.text_;
-    copy->attributes_ = src.attributes_;
-    return copy;
-  };
-  std::unique_ptr<Node> root = copy_one(*this);
+  std::unique_ptr<Node> root = CloneShallow();
+  if (children_.empty()) return root;
   // Iterative DFS: (source node, already-built copy of it). Children are
   // pushed in reverse so left-to-right order is preserved, though order
   // on the work-list is irrelevant — each pair is independent.
@@ -219,7 +229,7 @@ std::unique_ptr<Node> Node::Clone() const {
     pending.pop_back();
     dst->children_.reserve(src->children_.size());
     for (const auto& child : src->children_) {
-      Node* child_copy = dst->AddChild(copy_one(*child));
+      Node* child_copy = dst->AddChild(child->CloneShallow());
       pending.emplace_back(child.get(), child_copy);
     }
   }

@@ -44,11 +44,13 @@ struct Attribute {
 /// non-owning back-pointer maintained by the mutation methods.
 ///
 /// Allocation: when a NodeArena is installed on the current thread
-/// (NodeArenaScope), nodes are carved out of it and `delete` frees no
-/// memory — the document's whole tree dies in O(1) with the arena.
-/// Without a scope, nodes come from the heap as usual. Each node carries
-/// a one-word hidden header recording its origin, so heap nodes and
-/// arena nodes can be destroyed through the same unique_ptr machinery.
+/// (NodeArenaScope), nodes are carved out of it — the document's whole
+/// tree dies in O(1) with the arena — and `delete` returns a node's slot
+/// to that arena for reuse only while the arena is still the thread's
+/// current scope. Without a scope, nodes come from the heap as usual.
+/// Each node carries a hidden header naming its arena (null for the
+/// heap), so heap nodes and arena nodes can be destroyed through the
+/// same unique_ptr machinery.
 class Node {
  public:
   /// Creates an element node with the given (interned) name.
@@ -68,7 +70,7 @@ class Node {
   ~Node();
 
   /// Arena-aware allocation (see class comment). The sized/unsized
-  /// deletes both understand the hidden origin header.
+  /// deletes both understand the hidden arena header.
   static void* operator new(size_t size);
   static void operator delete(void* ptr) noexcept;
   static void operator delete(void* ptr, size_t size) noexcept;
@@ -161,6 +163,9 @@ class Node {
   /// Deep copy (parent of the copy is null). Iterative: cloning a tree
   /// deeper than the stack is safe, matching the destructor's guarantee.
   std::unique_ptr<Node> Clone() const;
+  /// Copy of this node alone: type, name, text and attributes, with no
+  /// children and a null parent.
+  std::unique_ptr<Node> CloneShallow() const;
 
   /// Number of nodes in this subtree, including this node. Iterative.
   size_t SubtreeSize() const;

@@ -216,5 +216,134 @@ TEST(MappingDifferentialEdgeTest, DuplicateAndEmptySchemaLabels) {
   }
 }
 
+// Hand cases for the order in which the mapper builds a node's
+// children: splice, reorder, merge, insert, then recurse.
+
+// resume -> contact -> (name, phone), education+ -> degree
+MajoritySchema NestedSchema() {
+  SchemaNode root = Leaf("resume");
+  SchemaNode contact = Leaf("contact");
+  contact.children.push_back(Leaf("name"));
+  contact.children.push_back(Leaf("phone"));
+  root.children.push_back(contact);
+  SchemaNode education = Leaf("education", /*rep=*/0.9);
+  education.children.push_back(Leaf("degree"));
+  root.children.push_back(education);
+  return MajoritySchema(std::move(root));
+}
+
+ConformResult MapByHand(const Node& doc, const MajoritySchema& schema,
+                        const std::string& what) {
+  const Dtd dtd = BuildDtd(schema);
+  const DocumentMapper mapper(schema, dtd);
+  ExpectSameMapping(doc, schema, dtd, mapper, what);
+  return mapper.Conform(doc);
+}
+
+TEST(MappingConstructionOrderTest, OffSchemaChainFoldsValsInOrder) {
+  auto doc = Node::MakeElement("resume");
+  doc->set_val("r");
+  Node* outer = doc->AddElement("stray");
+  outer->set_val("s1");
+  Node* middle = outer->AddElement("stray");
+  middle->set_val("s2");
+  middle->AddElement("deeper")->set_val("s3");
+  middle->AddElement("contact")->set_val("kept");
+  outer->AddElement("stray")->set_val("s4");
+  doc->AddElement("after")->set_val("s5");
+  const ConformResult mapped = MapByHand(*doc, NestedSchema(), "chain");
+  EXPECT_EQ(mapped.document->val(), "r s1 s2 s3 s4 s5");
+  ASSERT_GE(mapped.document->child_count(), 1u);
+  EXPECT_EQ(mapped.document->child(0)->val(), "kept");
+  EXPECT_EQ(mapped.report.nodes_removed, 5u);
+}
+
+TEST(MappingConstructionOrderTest, MergedChildrenAreConcatenatedThenSpliced) {
+  auto doc = Node::MakeElement("resume");
+  Node* first = doc->AddElement("contact");
+  first->set_val("a");
+  first->AddElement("phone")->set_val("p1");
+  Node* stray = first->AddElement("stray");
+  stray->set_val("s1");
+  stray->AddElement("name")->set_val("n1");
+  Node* second = doc->AddElement("contact");
+  second->set_val("b");
+  second->AddElement("name")->set_val("n2");
+  second->AddElement("stray")->set_val("s2");
+  const ConformResult mapped = MapByHand(*doc, NestedSchema(), "merge");
+  const Node& contact = *mapped.document->child(0);
+  ASSERT_EQ(contact.name(), "contact");
+  // The surplus contact's val joins first, then the spliced strays' in
+  // the order of the concatenated child list.
+  EXPECT_EQ(contact.val(), "a b s1 s2");
+  // name n1 (from under the stray) and n2 merge; phone ranks after.
+  ASSERT_EQ(contact.child_count(), 2u);
+  EXPECT_EQ(contact.child(0)->name(), "name");
+  EXPECT_EQ(contact.child(0)->val(), "n1 n2");
+  EXPECT_EQ(contact.child(1)->name(), "phone");
+  EXPECT_EQ(contact.child(1)->val(), "p1");
+}
+
+TEST(MappingConstructionOrderTest, RequiredChildInsertedUnderInsertedParent) {
+  auto doc = Node::MakeElement("resume");
+  doc->AddText("only text");
+  const ConformResult mapped = MapByHand(*doc, NestedSchema(), "insert");
+  EXPECT_TRUE(mapped.report.conforms);
+  EXPECT_EQ(mapped.report.nodes_inserted, 5u);
+  const Node& root = *mapped.document;
+  ASSERT_EQ(root.child_count(), 3u);
+  EXPECT_EQ(root.child(0)->name(), "contact");
+  ASSERT_EQ(root.child(0)->child_count(), 2u);
+  EXPECT_EQ(root.child(0)->child(0)->name(), "name");
+  EXPECT_EQ(root.child(0)->child(1)->name(), "phone");
+  EXPECT_EQ(root.child(1)->name(), "education");
+  ASSERT_EQ(root.child(1)->child_count(), 1u);
+  EXPECT_EQ(root.child(1)->child(0)->name(), "degree");
+  EXPECT_TRUE(root.child(2)->is_text());
+}
+
+TEST(MappingConstructionOrderTest, TextChildrenRankAsEmptyName) {
+  auto doc = Node::MakeElement("resume");
+  doc->AddElement("education");
+  doc->AddText("between");
+  doc->AddElement("contact");
+  // Without a "" label a text ranks after every schema child.
+  SchemaNode plain = Leaf("resume");
+  plain.children.push_back(Leaf("contact"));
+  plain.children.push_back(Leaf("education"));
+  const ConformResult last =
+      MapByHand(*doc, MajoritySchema(plain), "text unranked");
+  ASSERT_EQ(last.document->child_count(), 3u);
+  EXPECT_TRUE(last.document->child(2)->is_text());
+  // With one, it ranks where that label stands. A text is not an
+  // element named "", so the required "" element is still inserted,
+  // after the contact run.
+  SchemaNode ranked = Leaf("resume");
+  ranked.children.push_back(Leaf("contact"));
+  ranked.children.push_back(Leaf(""));
+  ranked.children.push_back(Leaf("education"));
+  const ConformResult middle =
+      MapByHand(*doc, MajoritySchema(ranked), "text ranked");
+  ASSERT_EQ(middle.document->child_count(), 4u);
+  EXPECT_EQ(middle.document->child(0)->name(), "contact");
+  EXPECT_TRUE(middle.document->child(1)->is_element());
+  EXPECT_EQ(middle.document->child(1)->name(), "");
+  EXPECT_TRUE(middle.document->child(2)->is_text());
+  EXPECT_EQ(middle.document->child(3)->name(), "education");
+}
+
+TEST(MappingConstructionOrderTest, RootRelabelCombinesWithMerges) {
+  auto doc = Node::MakeElement("cv");
+  doc->AddElement("contact")->set_val("first");
+  doc->AddElement("contact")->set_val("second");
+  doc->AddElement("contact")->set_val("third");
+  const ConformResult mapped = MapByHand(*doc, NestedSchema(), "relabel");
+  EXPECT_EQ(mapped.document->name(), "resume");
+  // One relabel and two merged surplus contacts.
+  EXPECT_EQ(mapped.report.nodes_removed, 3u);
+  ASSERT_GE(mapped.document->child_count(), 1u);
+  EXPECT_EQ(mapped.document->child(0)->val(), "first second third");
+}
+
 }  // namespace
 }  // namespace webre

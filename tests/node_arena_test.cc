@@ -1,7 +1,8 @@
 // Arena-backed node allocation: the bump arena itself, the thread-local
-// NodeArenaScope install/restore discipline, and the rule that a Node
-// may be deleted after its originating scope has exited (the hidden
-// origin header, not the current scope, decides how memory is freed).
+// NodeArenaScope install/restore discipline, the rule that a Node may be
+// deleted after its originating scope has exited (the hidden header, not
+// the current scope, names the node's arena), and slot recycling, which
+// happens only when a node dies under its own arena's scope.
 
 #include "xml/node_arena.h"
 
@@ -201,10 +202,10 @@ TEST(NodeArenaTest, ResetClearsNodeCountAndKeepsSpare) {
   EXPECT_EQ(arena.nodes_allocated(), 2u);
 }
 
-TEST(NodeArenaTest, SplicedNodesStayValidUntilArenaDies) {
+TEST(NodeArenaTest, SplicedNodesLeaveTheTreeIntact) {
   // The pipeline's restructure rules splice nodes out and delete them
-  // mid-conversion; with an arena installed the delete is a destructor
-  // call only. The remaining tree must be unaffected.
+  // mid-conversion; with an arena installed the delete recycles the
+  // slot. The remaining tree must be unaffected.
   NodeArena arena;
   std::unique_ptr<Node> root;
   {
@@ -213,11 +214,114 @@ TEST(NodeArenaTest, SplicedNodesStayValidUntilArenaDies) {
     root->AddElement("b");
     root->AddElement("c");
     std::unique_ptr<Node> removed = root->RemoveChild(0);
-    removed.reset();  // "frees" b into the arena
+    removed.reset();  // recycles b's slot
+    root->AddElement("d");  // reuses it
   }
-  ASSERT_EQ(root->child_count(), 1u);
+  ASSERT_EQ(root->child_count(), 2u);
   EXPECT_EQ(root->child(0)->name(), "c");
+  EXPECT_EQ(root->child(1)->name(), "d");
 }
+
+TEST(NodeArenaTest, SlotIsReusedWithinItsScope) {
+  NodeArena arena;
+  NodeArenaScope scope(&arena);
+  auto first = Node::MakeElement("a");
+  const Node* slot = first.get();
+  const size_t bumped = arena.bytes_allocated();
+  first.reset();
+  auto second = Node::MakeText("b");
+  EXPECT_EQ(second.get(), slot);
+  EXPECT_EQ(arena.bytes_allocated(), bumped);  // no new bytes bumped
+  EXPECT_EQ(second->text(), "b");
+  EXPECT_EQ(second->name_id(), kInvalidNameId);  // nothing of `a` left
+}
+
+TEST(NodeArenaTest, SlotIsNotReusedWhenDeletedOutsideAnyScope) {
+  NodeArena arena;
+  std::unique_ptr<Node> first;
+  {
+    NodeArenaScope scope(&arena);
+    first = Node::MakeElement("a");
+  }
+  const Node* slot = first.get();
+  first.reset();  // no scope: the slot stays until the arena dies
+  const size_t bumped = arena.bytes_allocated();
+  NodeArenaScope scope(&arena);
+  auto second = Node::MakeElement("b");
+  EXPECT_NE(second.get(), slot);
+  EXPECT_GT(arena.bytes_allocated(), bumped);
+}
+
+TEST(NodeArenaTest, SlotIsNotReusedWhenDeletedUnderAnotherArena) {
+  NodeArena arena;
+  NodeArena other;
+  std::unique_ptr<Node> first;
+  {
+    NodeArenaScope scope(&arena);
+    first = Node::MakeElement("a");
+  }
+  const Node* slot = first.get();
+  {
+    NodeArenaScope scope(&other);
+    first.reset();  // neither arena takes the slot
+    auto in_other = Node::MakeElement("b");
+    EXPECT_NE(in_other.get(), slot);
+    EXPECT_EQ(other.nodes_allocated(), 1u);
+  }
+  NodeArenaScope scope(&arena);
+  auto second = Node::MakeElement("c");
+  EXPECT_NE(second.get(), slot);
+}
+
+TEST(NodeArenaTest, ResetClearsTheFreeList) {
+  NodeArena arena;
+  {
+    NodeArenaScope scope(&arena);
+    auto a = Node::MakeElement("a");
+    auto b = Node::MakeElement("b");
+  }  // both slots recycled under the scope
+  arena.Reset();
+  NodeArenaScope scope(&arena);
+  auto fresh = Node::MakeElement("c");
+  // Bumped from the rewound block, not popped from the dropped list.
+  EXPECT_GT(arena.bytes_allocated(), 0u);
+  EXPECT_EQ(arena.nodes_allocated(), 1u);
+}
+
+TEST(NodeArenaTest, HeapNodeDeletedInsideAScopeGoesBackToTheHeap) {
+  auto heap_node = Node::MakeElement("a");
+  NodeArena arena;
+  NodeArenaScope scope(&arena);
+  heap_node.reset();  // freed to the heap, not pushed on the free list
+  auto arena_node = Node::MakeElement("b");
+  EXPECT_GT(arena.bytes_allocated(), 0u);  // bumped: the list was empty
+  EXPECT_EQ(arena.nodes_allocated(), 1u);
+}
+
+TEST(NodeArenaTest, NodesAllocatedCountsReusedSlots) {
+  NodeArena arena;
+  NodeArenaScope scope(&arena);
+  Node::MakeElement("a");  // dies at once, recycled
+  const size_t one_slot = arena.bytes_allocated();
+  for (int i = 1; i < 10; ++i) Node::MakeElement("a");
+  EXPECT_EQ(arena.nodes_allocated(), 10u);
+  EXPECT_EQ(arena.bytes_allocated(), one_slot);  // one slot served all ten
+  auto kept = Node::MakeElement("b");
+  EXPECT_EQ(arena.nodes_allocated(), 11u);
+}
+
+#ifdef WEBRE_ASAN
+TEST(NodeArenaDeathTest, RecycledSlotIsPoisoned) {
+  NodeArena arena;
+  NodeArenaScope scope(&arena);
+  auto node = Node::MakeElement("a");
+  const Node* dangling = node.get();
+  node.reset();
+  EXPECT_DEATH(
+      (void)*reinterpret_cast<const volatile char*>(dangling),
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace webre
