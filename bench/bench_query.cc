@@ -31,10 +31,7 @@
 // Every workload runs at least --reps timed passes and keeps repeating
 // until it has run for kMinWorkloadSeconds, so the fast after-arm
 // workloads (a few ms per pass) are timed over a window long enough to
-// read steadily on a shared host; `matches` counts one pass. Each such
-// timed window is repeated kRepetitions times, the two arms alternating,
-// and the window with the median qps is recorded: one slow or fast
-// window on a shared host moves the record no more than the others.
+// read steadily on a shared host; `matches` counts one pass.
 //
 // Usage: bench_query [--docs=N] [--shards=N] [--reps=N]
 
@@ -45,7 +42,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -286,8 +282,6 @@ double Now() {
 
 /// Shortest timed window per workload and arm.
 constexpr double kMinWorkloadSeconds = 0.2;
-/// Timed windows per workload and arm; the median one is recorded.
-constexpr size_t kRepetitions = 5;
 
 struct WorkloadResult {
   double seconds = 0;
@@ -320,33 +314,6 @@ WorkloadResult RunWorkload(const Repo& repo,
   return result;
 }
 
-/// Every timed window of one workload on one arm.
-struct Repeated {
-  std::vector<WorkloadResult> runs;
-
-  /// The window with the median qps.
-  WorkloadResult Median() const {
-    std::vector<WorkloadResult> sorted = runs;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const WorkloadResult& a, const WorkloadResult& b) {
-                return a.qps() < b.qps();
-              });
-    return sorted[sorted.size() / 2];
-  }
-
-  /// The qps of every window, in run order, as a JSON array.
-  std::string QpsRuns() const {
-    std::string out = "[";
-    char buf[32];
-    for (size_t i = 0; i < runs.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s%.1f", i > 0 ? ", " : "",
-                    runs[i].qps());
-      out += buf;
-    }
-    return out + "]";
-  }
-};
-
 std::vector<webre::PathQuery> ParseAll(
     const std::vector<std::string_view>& texts) {
   std::vector<webre::PathQuery> queries;
@@ -357,11 +324,8 @@ std::vector<webre::PathQuery> ParseAll(
 }
 
 void PrintArm(const char* name, size_t docs, size_t shards,
-              const Repeated& simple_runs, const Repeated& mixed_runs,
-              const Repeated& predicate_runs, bool trailing_comma) {
-  const WorkloadResult simple = simple_runs.Median();
-  const WorkloadResult mixed = mixed_runs.Median();
-  const WorkloadResult predicate = predicate_runs.Median();
+              const WorkloadResult& simple, const WorkloadResult& mixed,
+              const WorkloadResult& predicate, bool trailing_comma) {
   std::printf(
       "    \"%s\": {\n"
       "      \"arm\": \"%s\",\n"
@@ -370,21 +334,17 @@ void PrintArm(const char* name, size_t docs, size_t shards,
       "      \"simple_seconds\": %.4f,\n"
       "      \"simple_passes\": %zu,\n"
       "      \"simple_qps\": %.1f,\n"
-      "      \"simple_qps_runs\": %s,\n"
       "      \"mixed_seconds\": %.4f,\n"
       "      \"mixed_passes\": %zu,\n"
       "      \"mixed_qps\": %.1f,\n"
-      "      \"mixed_qps_runs\": %s,\n"
       "      \"predicate_seconds\": %.4f,\n"
       "      \"predicate_passes\": %zu,\n"
       "      \"predicate_qps\": %.1f,\n"
-      "      \"predicate_qps_runs\": %s,\n"
       "      \"matches\": %zu\n"
       "    }%s\n",
       name, name, docs, shards, simple.seconds, simple.passes, simple.qps(),
-      simple_runs.QpsRuns().c_str(), mixed.seconds, mixed.passes,
-      mixed.qps(), mixed_runs.QpsRuns().c_str(), predicate.seconds,
-      predicate.passes, predicate.qps(), predicate_runs.QpsRuns().c_str(),
+      mixed.seconds, mixed.passes, mixed.qps(), predicate.seconds,
+      predicate.passes, predicate.qps(),
       simple.matches + mixed.matches + predicate.matches,
       trailing_comma ? "," : "");
 }
@@ -466,26 +426,15 @@ int main(int argc, char** argv) {
     webre::SetSimdLevelForTesting(saved);
   }
 
-  // The arms alternate window by window, so drift on a shared host
-  // reaches both alike.
-  Repeated before_simple_runs, before_mixed_runs, before_predicate_runs;
-  Repeated after_simple_runs, after_mixed_runs, after_predicate_runs;
-  for (size_t rep = 0; rep < kRepetitions; ++rep) {
-    before_simple_runs.runs.push_back(RunWorkload(before, simple, flags.reps));
-    after_simple_runs.runs.push_back(RunWorkload(after, simple, flags.reps));
-    before_mixed_runs.runs.push_back(RunWorkload(before, mixed, flags.reps));
-    after_mixed_runs.runs.push_back(RunWorkload(after, mixed, flags.reps));
-    before_predicate_runs.runs.push_back(
-        RunWorkload(before, predicate, flags.reps));
-    after_predicate_runs.runs.push_back(
-        RunWorkload(after, predicate, flags.reps));
-  }
-  const WorkloadResult before_simple = before_simple_runs.Median();
-  const WorkloadResult before_mixed = before_mixed_runs.Median();
-  const WorkloadResult before_predicate = before_predicate_runs.Median();
-  const WorkloadResult after_simple = after_simple_runs.Median();
-  const WorkloadResult after_mixed = after_mixed_runs.Median();
-  const WorkloadResult after_predicate = after_predicate_runs.Median();
+  const WorkloadResult before_simple =
+      RunWorkload(before, simple, flags.reps);
+  const WorkloadResult before_mixed = RunWorkload(before, mixed, flags.reps);
+  const WorkloadResult before_predicate =
+      RunWorkload(before, predicate, flags.reps);
+  const WorkloadResult after_simple = RunWorkload(after, simple, flags.reps);
+  const WorkloadResult after_mixed = RunWorkload(after, mixed, flags.reps);
+  const WorkloadResult after_predicate =
+      RunWorkload(after, predicate, flags.reps);
 
   // Both arms see identical corpora, so their match totals must agree;
   // a mismatch means one serving layer is wrong, and no timing from
@@ -512,17 +461,15 @@ int main(int argc, char** argv) {
       "    \"elements\": %zu,\n"
       "    \"distinct_paths\": %zu,\n"
       "    \"reps\": %zu,\n"
-      "    \"min_workload_seconds\": %.1f,\n"
-      "    \"repetitions\": %zu,\n"
-      "    \"cores\": %u\n"
+      "    \"min_workload_seconds\": %.1f\n"
       "  },\n"
       "  \"arms\": {\n",
       flags.docs, stats.elements, stats.distinct_paths, flags.reps,
-      kMinWorkloadSeconds, kRepetitions, std::thread::hardware_concurrency());
-  PrintArm("before", flags.docs, 1, before_simple_runs, before_mixed_runs,
-           before_predicate_runs, true);
-  PrintArm("after", flags.docs, after.num_shards(), after_simple_runs,
-           after_mixed_runs, after_predicate_runs, false);
+      kMinWorkloadSeconds);
+  PrintArm("before", flags.docs, 1, before_simple, before_mixed,
+           before_predicate, true);
+  PrintArm("after", flags.docs, after.num_shards(), after_simple,
+           after_mixed, after_predicate, false);
   std::printf(
       "  },\n"
       "  \"derived\": {\n"

@@ -1,6 +1,5 @@
 #include "mapping/document_mapper.h"
 
-#include <algorithm>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -57,193 +56,135 @@ uint32_t DocumentMapper::FindChild(uint32_t parent, NameId name) const {
   return kNone;
 }
 
-// One document's mapping, built by construction: each conformed node's
-// children are planned from the source in one walk — splice, reorder,
-// merge, insert, the four steps of the Document Mapping Component in
-// that order — and only the nodes the result keeps are allocated.
-class DocumentMapper::Builder {
+// One document's mapping: the edit steps of the Document Mapping
+// Component against the compiled schema, and the report they add up to.
+class DocumentMapper::Run {
  public:
-  explicit Builder(const DocumentMapper& mapper) : mapper_(mapper) {}
+  explicit Run(const DocumentMapper& mapper) : mapper_(mapper) {}
 
-  // Builds the conformed copy of `document` under `root`, a one-node
-  // copy of it already relabelled to the schema root.
-  void MapRoot(Node* root, const Node& document) {
-    kept_.push_back({&document, 0});
-    MapNode(root, 0, 0, 1);
+  void MapNode(Node* node, uint32_t index) {
+    const CompiledNode& compiled = mapper_.nodes_[index];
+    SpliceOffSchema(node, index);
+    Reorder(node, index);
+    if (compiled.shapes_children) {
+      MergeSurplus(node, index);
+      InsertMissing(node, compiled);
+    }
+    for (size_t i = 0; i < node->child_count(); ++i) {
+      Node* child = node->child(i);
+      if (!child->is_element()) continue;
+      const uint32_t child_index = mapper_.FindChild(index, child->name_id());
+      if (child_index != kNone) MapNode(child, child_index);
+    }
   }
 
   MappingReport report;
 
  private:
-  // A source node that stays a child of the node being built, and its
-  // schema rank.
-  struct Kept {
-    const Node* node;
-    uint32_t rank;
-  };
-  // One child of the node being built: the kept sources
-  // kept_[begin, end) merged into one (their elements; a text inside a
-  // merged run gets a slot of its own too), or, when begin == end, an
-  // inserted element named `inserted`.
-  struct Slot {
-    size_t begin;
-    size_t end;
-    NameId inserted = kInvalidNameId;
-  };
+  // Step 1: splice out children not allowed here. A spliced child's
+  // children take its place and are checked next, so one pass leaves
+  // only schema children.
+  void SpliceOffSchema(Node* node, uint32_t index) {
+    for (size_t i = 0; i < node->child_count();) {
+      Node* child = node->child(i);
+      if (!child->is_element() ||
+          mapper_.FindChild(index, child->name_id()) != kNone) {
+        ++i;
+        continue;
+      }
+      // Off-schema: splice children up, fold text into parent.
+      node->AppendVal(child->val());
+      std::vector<std::unique_ptr<Node>> grandchildren =
+          child->RemoveAllChildren();
+      node->RemoveChild(i);
+      size_t insert_at = i;
+      for (auto& gc : grandchildren) {
+        node->InsertChild(insert_at++, std::move(gc));
+      }
+      ++report.nodes_removed;
+    }
+  }
 
-  // Builds `out`'s children against compiled node `index`. Its sources
-  // are the children of kept_[members_begin, members_end): the first
-  // member and every later element member, in order, as if the merge
-  // had appended the later members' children to the first's.
-  void MapNode(Node* out, uint32_t index, size_t members_begin,
-               size_t members_end) {
+  // Step 2: stable reorder to schema child order, one bucket per rank.
+  void Reorder(Node* node, uint32_t index) {
     const CompiledNode& compiled = mapper_.nodes_[index];
-    const size_t base = kept_.size();
-    SpliceOffSchema(out, index, members_begin, members_end);
-    const size_t end = kept_.size();
-    Reorder(compiled, index, base, end);
-    const size_t slot_base = slots_.size();
-    if (compiled.shapes_children) {
-      MergeSurplus(compiled, base, end);
-      InsertMissing(compiled, slot_base);
-    } else {
-      for (size_t i = base; i < end; ++i) slots_.push_back({i, i + 1});
-    }
-    // The kept_ and slots_ ranges of this node stay put while its
-    // children push and pop theirs above them, so index, don't point.
-    const size_t slot_end = slots_.size();
-    out->ReserveChildren(slot_end - slot_base);
-    for (size_t s = slot_base; s < slot_end; ++s) {
-      const Slot slot = slots_[s];
-      if (slot.begin == slot.end) {
-        Node* child = out->AddChild(Node::MakeElement(slot.inserted));
-        MapNode(child, mapper_.FindChild(index, slot.inserted), 0, 0);
-        continue;
-      }
-      const Node& first = *kept_[slot.begin].node;
-      if (!first.is_element()) {
-        out->AddChild(first.Clone());
-        continue;
-      }
-      Node* child = out->AddChild(first.CloneShallow());
-      for (size_t k = slot.begin + 1; k < slot.end; ++k) {
-        if (kept_[k].node->is_element()) child->AppendVal(kept_[k].node->val());
-      }
-      MapNode(child, mapper_.FindChild(index, first.name_id()), slot.begin,
-              slot.end);
-    }
-    slots_.resize(slot_base);
-    kept_.resize(base);
-  }
-
-  // Step 1: keep the sources allowed here, in document order. An
-  // off-schema element is spliced: its `val` folds into `out` and its
-  // children are examined in its place, so a chain of them folds its
-  // vals in pre-order. Iterative, so a deep chain cannot overflow the
-  // stack.
-  void SpliceOffSchema(Node* out, uint32_t index, size_t members_begin,
-                       size_t members_end) {
-    for (size_t m = members_begin; m < members_end; ++m) {
-      const Node* member = kept_[m].node;
-      if (m != members_begin && !member->is_element()) continue;
-      walk_.push_back({member, 0});
-      while (!walk_.empty()) {
-        Walk& top = walk_.back();
-        if (top.next == top.parent->child_count()) {
-          walk_.pop_back();
-          continue;
-        }
-        const Node* child = top.parent->child(top.next++);
-        if (!child->is_element() ||
-            mapper_.FindChild(index, child->name_id()) != kNone) {
-          kept_.push_back({child, 0});
-          continue;
-        }
-        out->AppendVal(child->val());
-        ++report.nodes_removed;
-        walk_.push_back({child, 0});
-      }
-    }
-  }
-
-  // Step 2: stable reorder of kept_[base, end) to schema child order,
-  // one bucket per rank.
-  void Reorder(const CompiledNode& compiled, uint32_t index, size_t base,
-               size_t end) {
+    const size_t count = node->child_count();
     // Children off the schema rank after every schema child.
     const uint32_t unranked = compiled.child_count;
+    ranks_.resize(count);
     uint32_t last_rank = 0;
     size_t moves = 0;
-    for (size_t i = base; i < end; ++i) {
+    for (size_t i = 0; i < count; ++i) {
       // A text node ranks by its name "", as the string compare did.
-      const Node& source = *kept_[i].node;
+      const Node& node_child = *node->child(i);
       const uint32_t child = mapper_.FindChild(
-          index, source.is_element() ? source.name_id() : mapper_.empty_name_);
+          index, node_child.is_element() ? node_child.name_id()
+                                         : mapper_.empty_name_);
       const uint32_t rank =
           child == kNone ? unranked : child - compiled.first_child;
       if (rank < last_rank) ++moves;
       last_rank = rank;
-      kept_[i].rank = rank;
+      ranks_[i] = rank;
     }
     if (moves == 0) return;  // already in schema order
     report.reorder_moves += moves;
     bucket_begin_.assign(static_cast<size_t>(unranked) + 2, 0);
-    for (size_t i = base; i < end; ++i) ++bucket_begin_[kept_[i].rank + 1];
+    for (size_t i = 0; i < count; ++i) ++bucket_begin_[ranks_[i] + 1];
     for (size_t r = 1; r < bucket_begin_.size(); ++r) {
       bucket_begin_[r] += bucket_begin_[r - 1];
     }
-    sorted_.resize(end - base);
-    for (size_t i = base; i < end; ++i) {
-      sorted_[bucket_begin_[kept_[i].rank]++] = kept_[i];
+    std::vector<std::unique_ptr<Node>> children = node->RemoveAllChildren();
+    sorted_.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      sorted_[bucket_begin_[ranks_[i]]++] = std::move(children[i]);
     }
-    std::copy(sorted_.begin(), sorted_.end(), kept_.begin() + base);
+    for (auto& child : sorted_) node->AddChild(std::move(child));
+    sorted_.clear();
   }
 
-  // Step 3: when the DTD allows a child only once, its surplus
-  // occurrences merge into the first. Sorted by rank, the elements of
-  // one name are one run of equal ranks (a text shares the run only when
-  // the schema has a child named ""); the merge drops the run's later
-  // elements and keeps its texts in place.
-  void MergeSurplus(const CompiledNode& compiled, size_t base, size_t end) {
-    for (size_t i = base; i < end;) {
-      const Kept& first = kept_[i];
-      size_t run_end = i + 1;
-      if (first.node->is_element()) {
-        const Occurrence occ =
-            mapper_.nodes_[compiled.first_child + first.rank].occurrence;
-        if (occ != Occurrence::kPlus && occ != Occurrence::kStar) {
-          while (run_end < end && kept_[run_end].rank == first.rank) {
-            ++run_end;
-          }
-        }
-      }
-      slots_.push_back({i, run_end});
-      for (size_t k = i + 1; k < run_end; ++k) {
-        if (kept_[k].node->is_element()) {
+  // Step 3: merge surplus occurrences when the DTD allows only one.
+  void MergeSurplus(Node* node, uint32_t index) {
+    for (size_t i = 0; i < node->child_count(); ++i) {
+      Node* first = node->child(i);
+      if (!first->is_element()) continue;
+      // After the splice every element child is a schema child.
+      const uint32_t child = mapper_.FindChild(index, first->name_id());
+      const Occurrence occ = child == kNone
+                                 ? Occurrence::kOptional
+                                 : mapper_.nodes_[child].occurrence;
+      if (occ == Occurrence::kPlus || occ == Occurrence::kStar) continue;
+      // Merge any later sibling with the same name into `first`.
+      for (size_t j = i + 1; j < node->child_count();) {
+        Node* other = node->child(j);
+        if (other->is_element() && other->name_id() == first->name_id()) {
+          first->AppendVal(other->val());
+          std::vector<std::unique_ptr<Node>> moved =
+              other->RemoveAllChildren();
+          for (auto& m : moved) first->AddChild(std::move(m));
+          node->RemoveChild(j);
           ++report.nodes_removed;
         } else {
-          slots_.push_back({k, k + 1});
+          ++j;
         }
       }
-      i = run_end;
     }
   }
 
   // Step 4: insert required-but-missing children, in schema order.
-  void InsertMissing(const CompiledNode& compiled, size_t slot_base) {
-    size_t insert_at = slot_base;
+  void InsertMissing(Node* node, const CompiledNode& compiled) {
+    size_t insert_at = 0;
     for (uint32_t c = compiled.first_child;
          c < compiled.first_child + compiled.child_count; ++c) {
       const CompiledNode& schema_child = mapper_.nodes_[c];
       // Find this label among the current children.
       bool present = false;
-      for (size_t s = slot_base; s < slots_.size(); ++s) {
-        if (IsElementNamed(slots_[s], schema_child.label)) {
+      for (size_t i = 0; i < node->child_count(); ++i) {
+        if (IsElementNamed(*node->child(i), schema_child.label)) {
           present = true;
           // Skip past the run of this label.
-          size_t j = s;
-          while (j < slots_.size() &&
-                 IsElementNamed(slots_[j], schema_child.label)) {
+          size_t j = i;
+          while (j < node->child_count() &&
+                 IsElementNamed(*node->child(j), schema_child.label)) {
             ++j;
           }
           insert_at = j;
@@ -255,51 +196,38 @@ class DocumentMapper::Builder {
           schema_child.occurrence == Occurrence::kStar) {
         continue;
       }
-      slots_.insert(slots_.begin() + static_cast<ptrdiff_t>(insert_at++),
-                    Slot{0, 0, schema_child.label});
+      node->InsertChild(insert_at++, Node::MakeElement(schema_child.label));
       ++report.nodes_inserted;
     }
   }
 
-  bool IsElementNamed(const Slot& slot, NameId name) const {
-    if (slot.begin == slot.end) return slot.inserted == name;
-    const Node& node = *kept_[slot.begin].node;
+  static bool IsElementNamed(const Node& node, NameId name) {
     return node.is_element() && node.name_id() == name;
   }
 
-  struct Walk {
-    const Node* parent;
-    size_t next;
-  };
-
   const DocumentMapper& mapper_;
-  // Stacks: each node being built owns the top ranges while it plans its
-  // children, and its ranges stay below its children's.
-  std::vector<Kept> kept_;
-  std::vector<Slot> slots_;
-  // Scratch for one step at a time, reused across the document's nodes.
-  std::vector<Walk> walk_;
+  // Reorder scratch, reused across the document's nodes.
+  std::vector<uint32_t> ranks_;
   std::vector<size_t> bucket_begin_;
-  std::vector<Kept> sorted_;
+  std::vector<std::unique_ptr<Node>> sorted_;
 };
 
 ConformResult DocumentMapper::Conform(const Node& document) const {
   ConformResult result;
+  result.document = document.Clone();
+  Node* root = result.document.get();
   if (nodes_.empty()) {
-    result.document = document.Clone();
-    result.report.conforms = ConformsToDtd(*result.document, dtd_);
+    result.report.conforms = ConformsToDtd(*root, dtd_);
     return result;
   }
-  Builder builder(*this);
-  result.document = document.CloneShallow();
-  Node* root = result.document.get();
+  Run run(*this);
   // The root label must match the schema root; relabel if needed.
   if (root->name_id() != nodes_[0].label) {
     root->set_name(nodes_[0].label);
-    ++builder.report.nodes_removed;  // counted as one relabel-ish operation
+    ++run.report.nodes_removed;  // counted as one relabel-ish operation
   }
-  builder.MapRoot(root, document);
-  result.report = builder.report;
+  run.MapNode(root, 0);
+  result.report = run.report;
   result.report.conforms = ConformsToDtd(*root, dtd_);
   return result;
 }

@@ -67,10 +67,7 @@ class DocumentMapper {
   DocumentMapper(const MajoritySchema& schema, Dtd&& dtd) = delete;
 
   /// The conformed copy of `document`, and its report without the edit
-  /// distance (ConformToSchema adds it). The copy is built by
-  /// construction in one walk over `document`: only the nodes it keeps
-  /// are allocated, from the thread's current NodeArena if one is
-  /// installed.
+  /// distance (ConformToSchema adds it).
   ConformResult Conform(const Node& document) const;
 
  private:
@@ -90,7 +87,7 @@ class DocumentMapper {
     bool shapes_children = false;
   };
 
-  class Builder;
+  class Run;
 
   /// The child of compiled node `parent` labelled `name`, or kNone.
   uint32_t FindChild(uint32_t parent, NameId name) const;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "schema/dtd_builder.h"
 #include "serve/frame.h"
 #include "xml/name_table.h"
 
@@ -94,29 +93,6 @@ void QueryCache::EraseLocked(Stripe& stripe, EntryMap::iterator it) {
   stripe.entries.erase(it);
 }
 
-namespace {
-
-// The body cached under `key` for the repository's current generations,
-// or, on a miss, the encoding of `make()`'s response, inserted under the
-// generations read before it was built (see QueryCache::Insert).
-template <typename MakeResponse>
-std::string CachedBody(const XmlRepository& repo, QueryCache& cache,
-                       std::string_view key, MakeResponse make) {
-  std::vector<uint64_t> generations;
-  repo.SnapshotGenerations(generations);
-  std::string body;
-  if (cache.Lookup(key, generations, body)) return body;
-
-  EncodeResponseBody(make(), body);
-
-  std::vector<uint64_t> current;
-  repo.SnapshotGenerations(current);
-  cache.Insert(key, generations, current, body);
-  return body;
-}
-
-}  // namespace
-
 StatusOr<std::string> CachedQueryBody(const XmlRepository& repo,
                                       QueryCache& cache,
                                       std::string_view query_text,
@@ -126,36 +102,34 @@ StatusOr<std::string> CachedQueryBody(const XmlRepository& repo,
   // Parse + ToString canonicalizes spelling, so "//DATE" and "// DATE"
   // variants that parse identically share one entry.
   const std::string key = parsed->ToString();
-  return CachedBody(repo, cache, key, [&] {
-    const std::vector<QueryMatch> matches = repo.Query(*parsed);
-    Response response;
-    response.type = MsgType::kQuery;
-    response.total_matches = matches.size();
-    const size_t returned =
-        matches.size() < max_results ? matches.size() : max_results;
-    response.matches.reserve(returned);
-    const NameTable& names = NameTable::Global();
-    for (size_t i = 0; i < returned; ++i) {
-      WireMatch match;
-      match.doc = matches[i].doc;
-      match.pos = matches[i].pos;
-      match.name.assign(names.NameOf(matches[i].name()));
-      match.val.assign(matches[i].val());
-      response.matches.push_back(std::move(match));
-    }
-    return response;
-  });
-}
 
-std::string CachedSchemaBody(const XmlRepository& repo, QueryCache& cache) {
-  return CachedBody(repo, cache, "schema", [&] {
-    const MajoritySchema schema = repo.DiscoverSchema();
-    Response response;
-    response.type = MsgType::kSchema;
-    response.schema_text = schema.ToString();
-    response.dtd_text = BuildDtd(schema).ToString(/*attlist=*/false);
-    return response;
-  });
+  std::vector<uint64_t> generations;
+  repo.SnapshotGenerations(generations);
+  std::string body;
+  if (cache.Lookup(key, generations, body)) return body;
+
+  const std::vector<QueryMatch> matches = repo.Query(*parsed);
+  Response response;
+  response.type = MsgType::kQuery;
+  response.total_matches = matches.size();
+  const size_t returned =
+      matches.size() < max_results ? matches.size() : max_results;
+  response.matches.reserve(returned);
+  const NameTable& names = NameTable::Global();
+  for (size_t i = 0; i < returned; ++i) {
+    WireMatch match;
+    match.doc = matches[i].doc;
+    match.pos = matches[i].pos;
+    match.name.assign(names.NameOf(matches[i].name()));
+    match.val.assign(matches[i].val());
+    response.matches.push_back(std::move(match));
+  }
+  EncodeResponseBody(response, body);
+
+  std::vector<uint64_t> current;
+  repo.SnapshotGenerations(current);
+  cache.Insert(key, generations, current, body);
+  return body;
 }
 
 }  // namespace serve

@@ -141,14 +141,6 @@ StatusOr<std::string> CachedQueryBody(const XmlRepository& repo,
                                       std::string_view query_text,
                                       size_t max_results);
 
-/// Returns the encoded kSchema response BODY for `repo`: the majority
-/// schema mined over every stored document, and its DTD. Mining reads
-/// every stored document, so the body is kept in `cache` under the same
-/// generation protocol as query results, keyed by a name no canonical
-/// query spells (those all begin with '/'): a repeat request between two
-/// admissions is a lookup, and any admission forces a fresh mining.
-std::string CachedSchemaBody(const XmlRepository& repo, QueryCache& cache);
-
 }  // namespace serve
 }  // namespace webre
 

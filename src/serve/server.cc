@@ -16,6 +16,9 @@
 #include <exception>
 #include <utility>
 
+#include "schema/dtd_builder.h"
+#include "schema/frequent_paths.h"
+
 namespace webre {
 namespace serve {
 
@@ -712,11 +715,9 @@ Response Server::Execute(const Request& request) {
       break;
     }
     case MsgType::kSchema: {
-      if (!DecodeResponseBody(CachedSchemaBody(*context_.repo, cache_),
-                              response)) {
-        return ErrorResponse(request.id, WireError::kInternal,
-                             "self-encoded schema body failed to decode");
-      }
+      const MajoritySchema schema = context_.repo->DiscoverSchema();
+      response.schema_text = schema.ToString();
+      response.dtd_text = BuildDtd(schema).ToString(/*attlist=*/false);
       break;
     }
     case MsgType::kStats: {

@@ -208,17 +208,15 @@ Node* Node::AddText(std::string text) {
   return AddChild(MakeText(std::move(text)));
 }
 
-std::unique_ptr<Node> Node::CloneShallow() const {
-  std::unique_ptr<Node> copy(new Node(type_));
-  copy->name_id_ = name_id_;
-  copy->text_ = text_;
-  copy->attributes_ = attributes_;
-  return copy;
-}
-
 std::unique_ptr<Node> Node::Clone() const {
-  std::unique_ptr<Node> root = CloneShallow();
-  if (children_.empty()) return root;
+  auto copy_one = [](const Node& src) {
+    std::unique_ptr<Node> copy(new Node(src.type_));
+    copy->name_id_ = src.name_id_;
+    copy->text_ = src.text_;
+    copy->attributes_ = src.attributes_;
+    return copy;
+  };
+  std::unique_ptr<Node> root = copy_one(*this);
   // Iterative DFS: (source node, already-built copy of it). Children are
   // pushed in reverse so left-to-right order is preserved, though order
   // on the work-list is irrelevant — each pair is independent.
@@ -229,7 +227,7 @@ std::unique_ptr<Node> Node::Clone() const {
     pending.pop_back();
     dst->children_.reserve(src->children_.size());
     for (const auto& child : src->children_) {
-      Node* child_copy = dst->AddChild(child->CloneShallow());
+      Node* child_copy = dst->AddChild(copy_one(*child));
       pending.emplace_back(child.get(), child_copy);
     }
   }

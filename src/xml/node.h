@@ -163,9 +163,6 @@ class Node {
   /// Deep copy (parent of the copy is null). Iterative: cloning a tree
   /// deeper than the stack is safe, matching the destructor's guarantee.
   std::unique_ptr<Node> Clone() const;
-  /// Copy of this node alone: type, name, text and attributes, with no
-  /// children and a null parent.
-  std::unique_ptr<Node> CloneShallow() const;
 
   /// Number of nodes in this subtree, including this node. Iterative.
   size_t SubtreeSize() const;

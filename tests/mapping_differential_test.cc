@@ -216,7 +216,7 @@ TEST(MappingDifferentialEdgeTest, DuplicateAndEmptySchemaLabels) {
   }
 }
 
-// Hand cases for the order in which the mapper builds a node's
+// Hand cases for the order of the mapping steps on one node's
 // children: splice, reorder, merge, insert, then recurse.
 
 // resume -> contact -> (name, phone), education+ -> degree
@@ -240,7 +240,7 @@ ConformResult MapByHand(const Node& doc, const MajoritySchema& schema,
   return mapper.Conform(doc);
 }
 
-TEST(MappingConstructionOrderTest, OffSchemaChainFoldsValsInOrder) {
+TEST(MappingStepOrderTest, OffSchemaChainFoldsValsInOrder) {
   auto doc = Node::MakeElement("resume");
   doc->set_val("r");
   Node* outer = doc->AddElement("stray");
@@ -258,7 +258,7 @@ TEST(MappingConstructionOrderTest, OffSchemaChainFoldsValsInOrder) {
   EXPECT_EQ(mapped.report.nodes_removed, 5u);
 }
 
-TEST(MappingConstructionOrderTest, MergedChildrenAreConcatenatedThenSpliced) {
+TEST(MappingStepOrderTest, MergedChildrenAreConcatenatedThenSpliced) {
   auto doc = Node::MakeElement("resume");
   Node* first = doc->AddElement("contact");
   first->set_val("a");
@@ -284,7 +284,7 @@ TEST(MappingConstructionOrderTest, MergedChildrenAreConcatenatedThenSpliced) {
   EXPECT_EQ(contact.child(1)->val(), "p1");
 }
 
-TEST(MappingConstructionOrderTest, RequiredChildInsertedUnderInsertedParent) {
+TEST(MappingStepOrderTest, RequiredChildInsertedUnderInsertedParent) {
   auto doc = Node::MakeElement("resume");
   doc->AddText("only text");
   const ConformResult mapped = MapByHand(*doc, NestedSchema(), "insert");
@@ -302,7 +302,7 @@ TEST(MappingConstructionOrderTest, RequiredChildInsertedUnderInsertedParent) {
   EXPECT_TRUE(root.child(2)->is_text());
 }
 
-TEST(MappingConstructionOrderTest, TextChildrenRankAsEmptyName) {
+TEST(MappingStepOrderTest, TextChildrenRankAsEmptyName) {
   auto doc = Node::MakeElement("resume");
   doc->AddElement("education");
   doc->AddText("between");
@@ -332,7 +332,7 @@ TEST(MappingConstructionOrderTest, TextChildrenRankAsEmptyName) {
   EXPECT_EQ(middle.document->child(3)->name(), "education");
 }
 
-TEST(MappingConstructionOrderTest, RootRelabelCombinesWithMerges) {
+TEST(MappingStepOrderTest, RootRelabelCombinesWithMerges) {
   auto doc = Node::MakeElement("cv");
   doc->AddElement("contact")->set_val("first");
   doc->AddElement("contact")->set_val("second");

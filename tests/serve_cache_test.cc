@@ -198,47 +198,6 @@ TEST_F(CachedQueryTest, AddInvalidatesAcrossTheCache) {
   EXPECT_GT(TotalMatches(*after), matches_before);
 }
 
-TEST_F(CachedQueryTest, RepeatSchemaRequestIsAHit) {
-  RepositoryOptions options;
-  options.num_shards = 2;
-  XmlRepository repo(options);
-  for (size_t i = 0; i < 8; ++i) ASSERT_TRUE(repo.Add(Doc(i)).ok());
-
-  QueryCache cache(1u << 20);
-  const std::string first = CachedSchemaBody(repo, cache);
-  EXPECT_EQ(cache.misses(), 1u);
-  const std::string second = CachedSchemaBody(repo, cache);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(first, second);
-
-  Response response;
-  response.type = MsgType::kSchema;
-  ASSERT_TRUE(DecodeResponseBody(first, response));
-  EXPECT_EQ(response.schema_text, repo.DiscoverSchema().ToString());
-  EXPECT_FALSE(response.dtd_text.empty());
-}
-
-TEST_F(CachedQueryTest, AddForcesAFreshSchemaMining) {
-  RepositoryOptions options;
-  options.num_shards = 2;
-  XmlRepository repo(options);
-  ASSERT_TRUE(repo.Add(Doc(0)).ok());
-
-  QueryCache cache(1u << 20);
-  CachedSchemaBody(repo, cache);
-  ASSERT_TRUE(repo.Add(Doc(1)).ok());
-
-  // The generation moved, so the schema is mined again over both
-  // documents instead of served from the entry of one.
-  const std::string after = CachedSchemaBody(repo, cache);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-  Response response;
-  response.type = MsgType::kSchema;
-  ASSERT_TRUE(DecodeResponseBody(after, response));
-  EXPECT_EQ(response.schema_text, repo.DiscoverSchema().ToString());
-}
-
 TEST_F(CachedQueryTest, CachedBodiesAreByteIdenticalAcrossSimdLevels) {
   // The cache stores serialized response bodies, so the predicate
   // scanner must produce byte-identical match sequences at every SIMD
